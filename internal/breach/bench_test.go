@@ -5,39 +5,36 @@ import (
 
 	"disasso/internal/core"
 	"disasso/internal/dataset"
-	"disasso/internal/quest"
 )
 
 // benchInputs are the audit benchmark workloads: Quest market-basket data at
-// the density profile of the paper's evaluation, and the dense skewed
-// synthetic profile the property tests use, scaled up — dense data is where
-// covers (and therefore repairs) concentrate.
+// the density profile of the paper's evaluation, cut into 1k-record shards;
+// the same generator at the shape of the end-to-end publish-safe workload
+// (10k records over a 5k-term domain, average length 10, one unsharded
+// publication, so top-level nodes grow to hundreds of leaves); and the dense
+// skewed synthetic profile the property tests use, scaled up — dense data is
+// where covers (and therefore repairs) concentrate.
 func benchInputs(b *testing.B) []struct {
 	name string
 	d    *dataset.Dataset
 } {
 	b.Helper()
-	cfg := quest.DefaultConfig()
-	cfg.NumTransactions = 5_000
-	cfg.DomainSize = 400
-	cfg.AvgTransLen = 6
-	cfg.Seed = 7
-	g, err := quest.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 	return []struct {
 		name string
 		d    *dataset.Dataset
 	}{
-		{"quest", g.Generate()},
+		{"quest", questDataset(b, 5_000, 400, 6, 7)},
+		{"quest10k-unsharded", questDataset(b, 10_000, 5_000, 10, 1)},
 		{"dense", genDataset(propConfig{k: 2, m: 2, maxCluster: 5, records: 400, domain: 24, maxLen: 6, seed: 505})},
 	}
 }
 
 func benchOptions(name string) core.Options {
-	if name == "dense" {
+	switch name {
+	case "dense":
 		return core.Options{K: 2, M: 2, MaxClusterSize: 5, Seed: 505, MaxShardRecords: 200}
+	case "quest10k-unsharded":
+		return core.Options{K: 5, M: 2, Seed: 1}
 	}
 	return core.Options{K: 4, M: 2, Seed: 7, MaxShardRecords: 1_000}
 }

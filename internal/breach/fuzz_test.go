@@ -1,6 +1,7 @@
 package breach
 
 import (
+	"bytes"
 	"testing"
 
 	"disasso/internal/anonymity"
@@ -11,6 +12,7 @@ import (
 // FuzzBreachDetector drives random small publications through the detector,
 // the oracle and the repair: the detector must never panic, must agree with
 // the brute-force oracle on every pair the oracle can afford to enumerate,
+// the incremental repair must publish the reference rescan's exact bytes,
 // and the repaired publication must audit clean while still passing the
 // independent k^m verifier.
 func FuzzBreachDetector(f *testing.F) {
@@ -59,10 +61,9 @@ func FuzzBreachDetector(f *testing.F) {
 				crossCheckNode(n, a.K, brs)
 			}()
 		}
-		opts.SafeDisassociation = true
-		repaired, err := core.Anonymize(d, opts)
-		if err != nil {
-			t.Fatalf("safe anonymize failed where plain succeeded: %v", err)
+		repaired, got := safePublish(t, d, opts, false)
+		if _, want := safePublish(t, d, opts, true); !bytes.Equal(got, want) {
+			t.Fatal("incremental repair and the reference rescan publish different bytes")
 		}
 		if rep := Audit(repaired); !rep.Clean() {
 			t.Fatalf("repaired publication still has %d breaches", len(rep.Findings))

@@ -56,14 +56,25 @@ const (
 // chunk, a leaf's term chunk, or a joint's shared chunk, with the slot range
 // it covers and the subrecord support of each of its terms.
 type breachSrc struct {
-	kind  srcKind
-	where string       // canonical locus, stable across runs and restarts
-	leaf  *Cluster     // owning leaf for record/term-chunk sources
-	node  *ClusterNode // owning joint for shared sources
-	chunk int          // chunk index within the owner (record/shared kinds)
-	lo, n int          // covered slot range [lo, lo+n)
-	terms dataset.Record
-	sup   []int // per terms[i]: subrecords containing it (1 for term chunks)
+	kind    srcKind
+	leaf    *Cluster // owning leaf for record/term-chunk sources
+	leafIdx int      // the owning leaf's in-order position in the node
+	chunk   int      // chunk index within the owner (record/shared kinds)
+	lo, n   int      // covered slot range [lo, lo+n)
+	terms   dataset.Record
+	sup     []int // per terms[i]: subrecords containing it (1 for term chunks)
+}
+
+// where is the source's canonical locus, stable across runs and restarts.
+// It is formatted only for reported breaches.
+func (s *breachSrc) where() string {
+	switch s.kind {
+	case srcRecordChunk:
+		return fmt.Sprintf("leaf %d record chunk %d", s.leafIdx, s.chunk)
+	case srcTermChunk:
+		return fmt.Sprintf("leaf %d term chunk", s.leafIdx)
+	}
+	return fmt.Sprintf("joint at slots %d-%d shared chunk %d", s.lo, s.lo+s.n-1, s.chunk)
 }
 
 // chunkSupports counts, per domain term, the subrecords containing it.
@@ -79,55 +90,62 @@ func chunkSupports(c *Chunk) []int {
 	return sup
 }
 
+// nodeSources appends the sources one tree node owns — not its
+// descendants' — to dst: a leaf's record chunks then its term chunk, or a
+// joint's shared chunks. The node covers slots [lo, lo+size); leafIdx is a
+// leaf's in-order position.
+func nodeSources(dst []breachSrc, n *ClusterNode, leafIdx, lo, size int) []breachSrc {
+	if !n.IsLeaf() {
+		for ci := range n.SharedChunks {
+			c := &n.SharedChunks[ci]
+			dst = append(dst, breachSrc{
+				kind: srcShared, chunk: ci, lo: lo, n: size,
+				terms: c.Domain, sup: chunkSupports(c),
+			})
+		}
+		return dst
+	}
+	cl := n.Simple
+	for ci := range cl.RecordChunks {
+		c := &cl.RecordChunks[ci]
+		dst = append(dst, breachSrc{
+			kind: srcRecordChunk, leaf: cl, leafIdx: leafIdx, chunk: ci, lo: lo, n: size,
+			terms: c.Domain, sup: chunkSupports(c),
+		})
+	}
+	if len(cl.TermChunk) > 0 {
+		sup := make([]int, len(cl.TermChunk))
+		for i := range sup {
+			sup[i] = 1
+		}
+		dst = append(dst, breachSrc{
+			kind: srcTermChunk, leaf: cl, leafIdx: leafIdx, lo: lo, n: size,
+			terms: cl.TermChunk, sup: sup,
+		})
+	}
+	return dst
+}
+
 // collectSources enumerates the association sources of one top-level node in
-// canonical order: leaves left to right (record chunks, then the term
-// chunk), then each joint's shared chunks after its descendants. Slot
-// offsets follow the in-order leaf layout, so a joint covers the contiguous
-// range of its leaves.
+// canonical order: a post-order walk, so leaves left to right (record
+// chunks, then the term chunk), and each joint's shared chunks after its
+// descendants. Slot offsets follow the in-order leaf layout, so a joint
+// covers the contiguous range of its leaves.
 func collectSources(root *ClusterNode) []breachSrc {
 	var out []breachSrc
 	leafIdx := 0
 	var walk func(n *ClusterNode, lo int) int
 	walk = func(n *ClusterNode, lo int) int {
 		if n.IsLeaf() {
-			cl := n.Simple
-			for ci := range cl.RecordChunks {
-				c := &cl.RecordChunks[ci]
-				out = append(out, breachSrc{
-					kind:  srcRecordChunk,
-					where: fmt.Sprintf("leaf %d record chunk %d", leafIdx, ci),
-					leaf:  cl, chunk: ci, lo: lo, n: cl.Size,
-					terms: c.Domain, sup: chunkSupports(c),
-				})
-			}
-			if len(cl.TermChunk) > 0 {
-				sup := make([]int, len(cl.TermChunk))
-				for i := range sup {
-					sup[i] = 1
-				}
-				out = append(out, breachSrc{
-					kind:  srcTermChunk,
-					where: fmt.Sprintf("leaf %d term chunk", leafIdx),
-					leaf:  cl, lo: lo, n: cl.Size,
-					terms: cl.TermChunk, sup: sup,
-				})
-			}
+			out = nodeSources(out, n, leafIdx, lo, n.Simple.Size)
 			leafIdx++
-			return lo + cl.Size
+			return lo + n.Simple.Size
 		}
 		end := lo
 		for _, c := range n.Children {
 			end = walk(c, end)
 		}
-		for ci := range n.SharedChunks {
-			c := &n.SharedChunks[ci]
-			out = append(out, breachSrc{
-				kind:  srcShared,
-				where: fmt.Sprintf("joint at slots %d-%d shared chunk %d", lo, end-1, ci),
-				node:  n, chunk: ci, lo: lo, n: end - lo,
-				terms: c.Domain, sup: chunkSupports(c),
-			})
-		}
+		out = nodeSources(out, n, 0, lo, end-lo)
 		return end
 	}
 	walk(root, 0)
@@ -206,7 +224,8 @@ func findAnchor(srcs []breachSrc, li int, a dataset.Term, k, s int) (ai int, b d
 
 // detectBreaches runs the pair detector over collected sources, returning
 // breaches sorted by descending probability (exact cross-multiplication),
-// then canonical source order, then learned term.
+// then canonical source order, then learned term. Loci are left empty:
+// NodeBreaches formats them for the breaches it reports.
 func detectBreaches(srcs []breachSrc, k int) []breachSite {
 	var out []breachSite
 	for li := range srcs {
@@ -225,13 +244,8 @@ func detectBreaches(srcs []breachSrc, k int) []breachSite {
 				continue // no co-locatable anchor: nothing to link a to
 			}
 			out = append(out, breachSite{
-				Breach: Breach{
-					Cluster: -1,
-					Where:   l.where, AnchorWhere: srcs[ai].where,
-					Anchor: b, Learned: a,
-					Num: s, Den: effN,
-				},
-				src: li, anchor: ai,
+				Breach: Breach{Cluster: -1, Anchor: b, Learned: a, Num: s, Den: effN},
+				src:    li, anchor: ai,
 			})
 		}
 	}
@@ -252,10 +266,12 @@ func detectBreaches(srcs []breachSrc, k int) []breachSite {
 // cluster node at threshold 1/k, sorted by descending probability. The node
 // is not modified. Results are deterministic for a fixed node.
 func NodeBreaches(n *ClusterNode, k int) []Breach {
-	sites := detectBreaches(collectSources(n), k)
+	srcs := collectSources(n)
+	sites := detectBreaches(srcs, k)
 	out := make([]Breach, len(sites))
 	for i, s := range sites {
 		out[i] = s.Breach
+		out[i].Where, out[i].AnchorWhere = srcs[s.src].where(), srcs[s.anchor].where()
 	}
 	return out
 }

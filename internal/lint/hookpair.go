@@ -38,7 +38,7 @@ var HookPair = &Analyzer{
 // path suffix. Extend it when a new reference path ships.
 var requiredHooks = map[string][]string{
 	"internal/breach": {"breachExhaustiveDefault"},
-	"internal/core":   {"refineAlwaysReplanDefault", "republishScratchDefault"},
+	"internal/core":   {"refineAlwaysReplanDefault", "republishScratchDefault", "safeRepairRescanDefault"},
 	"internal/query":  {"supportViaScanDefault"},
 	"internal/server": {"supportCacheOnDefault"},
 }

@@ -113,36 +113,16 @@ func (o Options) Validate() error {
 // cluster, then REFINE — and returns the published dataset. The input is not
 // modified. Records must be non-empty and normalized (dataset.Validate).
 //
-// Internally the pipeline runs over a dense term domain computed once from
-// the input: every global term becomes its rank 0..|T|-1, so per-term tables
-// in every stage are flat slices instead of maps. The remapping is monotone,
-// which preserves every ordering the stages rely on, so after the published
-// output is mapped back the result is byte-identical to a run over the
-// original terms.
+// It is AnonymizeWithState without the retained state: the records are cut
+// into the shard plan of Options.MaxShardRecords, and each shard runs over
+// its own dense term domain, where every global term becomes its rank among
+// the shard's terms, so per-term tables in every stage are flat slices
+// instead of maps. The remapping is monotone, which preserves every ordering
+// the stages rely on, so after the published output is mapped back the
+// result is byte-identical to a run over the original terms.
 func Anonymize(d *dataset.Dataset, opts Options) (*Anonymized, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid input: %w", err)
-	}
-	opts = opts.withDefaults()
-
-	dom := dataset.NewDenseDomain(d.Records)
-	dense := dom.RemapAll(d.Records)
-	// HORPART excludes every Sensitive *key* from splitting (matching the
-	// exported HorPartN, which ranges over the map's keys), while VERPART
-	// and REFINE treat a term as sensitive only when its value is true.
-	excludeBits, sensitiveBits := SensitiveBits(opts, dom)
-	shards := planShards(dense, dom.Len(), excludeBits, opts.MaxShardRecords, opts.K)
-	out := &Anonymized{K: opts.K, M: opts.M}
-	for _, sh := range shards {
-		out.Clusters = append(out.Clusters, AnonymizeShard(sh, dom.Len(), sensitiveBits, opts)...)
-	}
-	for _, n := range out.Clusters {
-		restoreNode(n, dom)
-	}
-	return out, nil
+	a, _, err := AnonymizeWithState(d, opts)
+	return a, err
 }
 
 // AnonymizeShard runs the per-shard pipeline — HORPART (continuing past the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -10,24 +11,27 @@ import (
 )
 
 // Incremental delta republish. A full publish retains, besides the published
-// forest, the HORPART shard-plan decision tree itself: per node, the record
-// count and per-term supports that drove ShardCut's decision. A delta (a batch
-// of appended and/or removed records) is then routed down the tree by the same
-// most-frequent-term containment rule HORPART uses, the counts along each path
-// are adjusted, and every touched decision is re-verified. When all decisions
-// stand, only the leaf shards that actually received or lost records are
-// re-anonymized — with the same shard index, hence the same shard-keyed PRNG
-// streams — and the untouched shards' published nodes are spliced through
-// unchanged. When any decision changes (the delta moved a shard boundary), the
-// engine falls back to a full from-scratch republish.
+// forest, the HORPART shard-plan decision tree itself, as the shard planner
+// (shardplan.go) builds it over the state's in-memory records: per node, the
+// record count and the per-term supports shardCut's decision read. A delta (a
+// batch of appended and/or removed records) is then routed down the tree by
+// the same most-frequent-term containment rule HORPART uses, the counts along
+// each path are adjusted, and every touched decision is re-verified. When all
+// decisions stand, only the leaf shards that actually received or lost
+// records are re-anonymized — with the same shard index, hence the same
+// shard-keyed PRNG streams — and the untouched shards' published nodes are
+// spliced through unchanged. A changed decision replans only its subtree;
+// when that changes the subtree's shard count, the engine falls back to a
+// full from-scratch republish.
 //
 // Two proven invariances make the dirty-shard re-run exact:
 //
 //  1. Shard membership and within-shard record order are content-based: a
 //     record's shard is determined by which split terms it contains, and
-//     planShards preserves relative record order, so "old records minus
-//     removals, then appends at the end" is exactly the shard list a
-//     from-scratch run over the same logical dataset would produce.
+//     the planner's in-memory split preserves relative record order, so
+//     "old records minus removals, then appends at the end" is exactly the
+//     shard list a from-scratch run over the same logical dataset would
+//     produce.
 //  2. The pipeline is invariant under monotone dense-domain remapping
 //     (anonymize.go), so each dirty shard can be re-run over its own local
 //     dense domain and still produce bytes identical to the global run.
@@ -46,7 +50,7 @@ var republishScratch = republishScratchDefault
 var ErrRecordNotFound = errors.New("core: record to remove not present")
 
 // errShardShift is the internal signal that a delta moved a shard boundary in
-// a way local replanning cannot absorb: a flipped ShardCut decision whose
+// a way local replanning cannot absorb: a flipped shardCut decision whose
 // rebuilt subtree has a different shard count, which would shift every later
 // shard's preorder index (and so its PRNG stream). Apply catches it and falls
 // back to a full republish.
@@ -69,7 +73,7 @@ type RepublishStats struct {
 	DirtyShards, TotalShards int
 	Dirty                    []int
 	// ReplannedShards counts the dirty shards whose plan subtree was rebuilt
-	// because the delta flipped a ShardCut decision — churn the engine
+	// because the delta flipped a shardCut decision — churn the engine
 	// absorbed locally instead of falling back to a full republish.
 	ReplannedShards int
 	// FullRepublish is set when the engine ran from scratch: either the delta
@@ -77,27 +81,13 @@ type RepublishStats struct {
 	FullRepublish bool
 }
 
-// planNode is one node of the retained shard-plan decision tree: the record
-// count and per-term supports ShardCut's decision was made from, and the
-// decision itself. Nodes are immutable once built — Apply copies every node it
-// touches, so old snapshots stay valid.
-type planNode struct {
-	n       int
-	counts  []int32 // per term index; may lag the universe, missing = 0
-	term    int32   // split term index; -1 for a leaf
-	sup     int32
-	with    *planNode
-	without *planNode
-	shard   int // leaf: index into RepubState.shards; -1 for interior nodes
-}
-
 // repubShard is one leaf of the plan tree: its records (global terms, in
 // ascending insertion order), their insertion sequence numbers, the
-// split-path terms consumed above it, and its published nodes.
+// split-path term indexes consumed above it, and its published nodes.
 type repubShard struct {
 	records   []dataset.Record
-	seq       []uint64       // parallel to records, strictly ascending
-	path      []dataset.Term // split-path terms, barred from splitting inside
+	seq       []uint64 // parallel to records, strictly ascending
+	path      []int32  // split-path term indexes, barred from splitting inside
 	published []*ClusterNode
 }
 
@@ -117,6 +107,9 @@ type RepubState struct {
 	id       map[dataset.Term]int32
 	excluded []bool // per term index: a Sensitive key, never usable for splits
 
+	// root is the plan tree; its nodes keep the supports shardCut read, so
+	// Apply can re-verify every decision a delta touches. A leaf at or below
+	// the cut keeps none (shardCut never reads them).
 	root   *planNode
 	shards []*repubShard
 
@@ -143,14 +136,17 @@ func AnonymizeWithState(d *dataset.Dataset, opts Options) (*Anonymized, *RepubSt
 	for i := range seq {
 		seq[i] = uint64(i)
 	}
-	st := newRepubState(d.Records, seq, uint64(d.Len()), opts.withDefaults())
+	st, err := newRepubState(d.Records, seq, uint64(d.Len()), opts.withDefaults())
+	if err != nil {
+		return nil, nil, err
+	}
 	return st.runAll(), st, nil
 }
 
 // newRepubState builds the plan tree and shard lists for records, whose
 // insertion sequence numbers are seq (strictly ascending). opts must be
 // validated and defaulted. Published nodes are not yet materialized.
-func newRepubState(records []dataset.Record, seq []uint64, nextSeq uint64, opts Options) *RepubState {
+func newRepubState(records []dataset.Record, seq []uint64, nextSeq uint64, opts Options) (*RepubState, error) {
 	dom := dataset.NewDenseDomain(records)
 	st := &RepubState{
 		opts:  opts,
@@ -166,103 +162,105 @@ func newRepubState(records []dataset.Record, seq []uint64, nextSeq uint64, opts 
 		st.id[t] = int32(i)
 		_, st.excluded[i] = opts.Sensitive[t]
 	}
-	ignore := slices.Clone(st.excluded)
-	st.root = st.build(records, seq, ignore, nil, &st.shards)
-	return st
+	p := st.planner(slices.Clone(st.excluded), nil)
+	root, err := p.plan(memSource{st: st, records: records, seq: seq}, nil)
+	if err != nil {
+		return nil, err
+	}
+	st.root = root
+	st.shards = make([]*repubShard, len(p.leaves))
+	for i, l := range p.leaves {
+		st.shards[i] = newRepubShard(l)
+	}
+	return st, nil
 }
 
-// build constructs the plan subtree over records, mirroring planShards: the
-// same counts, the same ShardCut decision, the same with-branch-first preorder
-// shard numbering. ignore is mutated and restored (split path + excluded);
-// path accumulates the split-path terms for leaf snapshots. Leaves are
-// appended to *leaves and numbered by their position in it — the full-tree
-// build passes &st.shards so positions are global shard indexes; a subtree
-// replant collects into a scratch slice and renumbers after the leaf count is
-// verified.
-func (st *RepubState) build(records []dataset.Record, seq []uint64, ignore []bool, path []dataset.Term, leaves *[]*repubShard) *planNode {
-	counts := make([]int32, len(st.terms))
-	for _, r := range records {
+// planner returns a plan recursion over the state's universe that retains
+// the supports of every node it decides. ignore and path are the context of
+// the node it starts from; ignore is mutated and restored.
+func (st *RepubState) planner(ignore []bool, path []int32) *planner[memSource] {
+	return &planner[memSource]{
+		terms: st.terms, maxShard: st.opts.MaxShardRecords, k: st.opts.K,
+		ignore: ignore, path: path, retain: true,
+	}
+}
+
+// memSource is the in-memory PlanSource of a RepubState: global-term records
+// in insertion order with their sequence numbers, counted through the
+// state's universe.
+type memSource struct {
+	st      *RepubState
+	records []dataset.Record
+	seq     []uint64
+}
+
+func (s memSource) Len() int { return len(s.records) }
+
+func (s memSource) Count() ([]int32, error) {
+	counts := make([]int32, len(s.st.terms))
+	for _, r := range s.records {
 		for _, t := range r {
-			counts[st.id[t]]++
+			counts[s.st.id[t]]++
 		}
 	}
-	nd := &planNode{n: len(records), counts: counts, term: -1, shard: -1}
-	best, sup, split := st.decide(nd.n, counts, ignore)
-	if !split {
-		nd.shard = len(*leaves)
-		*leaves = append(*leaves, &repubShard{records: records, seq: seq, path: slices.Clone(path)})
-		return nd
-	}
-	nd.term, nd.sup = best, sup
-	splitTerm := st.terms[best]
-	with := make([]dataset.Record, 0, sup)
-	withSeq := make([]uint64, 0, sup)
-	without := make([]dataset.Record, 0, len(records)-int(sup))
-	withoutSeq := make([]uint64, 0, len(records)-int(sup))
-	for i, r := range records {
-		if r.Contains(splitTerm) {
-			with = append(with, r)
-			withSeq = append(withSeq, seq[i])
-		} else {
-			without = append(without, r)
-			withoutSeq = append(withoutSeq, seq[i])
-		}
-	}
-	ignore[best] = true
-	nd.with = st.build(with, withSeq, ignore, append(path, splitTerm), leaves)
-	ignore[best] = false
-	nd.without = st.build(without, withoutSeq, ignore, path, leaves)
-	return nd
+	return counts, nil
 }
 
-// decide is ShardCut over the republish universe. The argmax tie-break
-// compares global terms, not indexes: for the initial build the two coincide
-// (indexes ascend with terms), but terms appended later get out-of-order
-// indexes, and the decision must keep matching what planShards would compute
-// over a freshly sorted domain.
-func (st *RepubState) decide(n int, counts []int32, ignore []bool) (term int32, sup int32, split bool) {
-	maxShard, k := st.opts.MaxShardRecords, st.opts.K
-	if maxShard <= 0 || n <= maxShard {
-		return -1, 0, false
-	}
-	best, bestSup := int32(-1), int32(0)
-	for t, c := range counts {
-		if c == 0 || ignore[t] {
+func (s memSource) Split(a, sup int32) (with, without memSource, withCounts []int32, err error) {
+	term := s.st.terms[a]
+	rest := len(s.records) - int(sup)
+	with = memSource{st: s.st, records: make([]dataset.Record, 0, sup), seq: make([]uint64, 0, sup)}
+	without = memSource{st: s.st, records: make([]dataset.Record, 0, rest), seq: make([]uint64, 0, rest)}
+	withCounts = make([]int32, len(s.st.terms))
+	for i, r := range s.records {
+		if !r.Contains(term) {
+			without.records = append(without.records, r)
+			without.seq = append(without.seq, s.seq[i])
 			continue
 		}
-		if c > bestSup || (c == bestSup && st.terms[t] < st.terms[best]) {
-			best, bestSup = int32(t), c
+		with.records = append(with.records, r)
+		with.seq = append(with.seq, s.seq[i])
+		for _, t := range r {
+			withCounts[s.st.id[t]]++
 		}
 	}
-	if bestSup == 0 {
-		return -1, 0, false
-	}
-	if int(bestSup) < k || n-int(bestSup) < k {
-		return best, bestSup, false
-	}
-	return best, bestSup, true
+	return with, without, withCounts, nil
 }
 
-// runAll anonymizes every shard and assembles the published dataset.
+// newRepubShard turns a planned leaf into a shard state.
+func newRepubShard(l PlanLeaf[memSource]) *repubShard {
+	return &repubShard{records: l.Source.records, seq: l.Source.seq, path: l.Path}
+}
+
+// runAll anonymizes every shard of a freshly built state and assembles the
+// published dataset. A fresh universe is the sorted domain of all records,
+// so the only shard of a one-shard plan runs over it instead of sorting the
+// same records into the same domain again.
 func (st *RepubState) runAll() *Anonymized {
+	var whole *dataset.DenseDomain
+	if len(st.shards) == 1 {
+		whole = dataset.NewDenseDomainFromTerms(st.terms)
+	}
 	out := &Anonymized{K: st.opts.K, M: st.opts.M}
 	for i, sh := range st.shards {
-		sh.published = st.runShard(sh, i)
+		sh.published = st.runShard(sh, i, whole)
 		out.Clusters = append(out.Clusters, sh.published...)
 	}
 	return out
 }
 
-// runShard re-anonymizes one shard over its own local dense domain. By the
-// monotone-remap invariance the restored output is byte-identical to the
-// shard's slice of a global run, and the shard index keys the same PRNG
-// streams either way.
-func (st *RepubState) runShard(sh *repubShard, index int) []*ClusterNode {
-	dom := dataset.NewDenseDomain(sh.records)
+// runShard re-anonymizes one shard over its own local dense domain (dom, or
+// built from the shard's records when nil). By the monotone-remap invariance
+// the restored output is byte-identical to the shard's slice of a global
+// run, and the shard index keys the same PRNG streams either way.
+func (st *RepubState) runShard(sh *repubShard, index int, dom *dataset.DenseDomain) []*ClusterNode {
+	if dom == nil {
+		dom = dataset.NewDenseDomain(sh.records)
+	}
 	dense := dom.RemapAll(sh.records)
 	excludeBits, sensitiveBits := SensitiveBits(st.opts, dom)
-	for _, t := range sh.path {
-		if id, ok := dom.ID(t); ok {
+	for _, a := range sh.path {
+		if id, ok := dom.ID(st.terms[a]); ok {
 			excludeBits[id] = true
 		}
 	}
@@ -276,35 +274,26 @@ func (st *RepubState) runShard(sh *repubShard, index int) []*ClusterNode {
 // this list from scratch with the state's options reproduces the current
 // published bytes.
 func (st *RepubState) Records() []dataset.Record {
-	records, _ := st.orderedRecords()
+	records, _ := mergeShards(st.shards)
 	return records
 }
 
-// orderedRecords flattens the shards back into insertion (sequence) order.
-func (st *RepubState) orderedRecords() ([]dataset.Record, []uint64) {
-	total := 0
-	for _, sh := range st.shards {
-		total += len(sh.records)
-	}
-	records := make([]dataset.Record, 0, total)
-	seq := make([]uint64, 0, total)
-	for _, sh := range st.shards {
+// mergeShards flattens shards back into insertion (sequence) order.
+func mergeShards(shards []*repubShard) ([]dataset.Record, []uint64) {
+	var records []dataset.Record
+	var seq []uint64
+	for _, sh := range shards {
 		records = append(records, sh.records...)
 		seq = append(seq, sh.seq...)
 	}
-	idx := make([]int, total)
-	for i := range idx {
-		idx[i] = i
+	order := make([]int, len(records))
+	for i := range order {
+		order[i] = i
 	}
-	slices.SortFunc(idx, func(a, b int) int {
-		if seq[a] < seq[b] {
-			return -1
-		}
-		return 1
-	})
-	outR := make([]dataset.Record, total)
-	outS := make([]uint64, total)
-	for i, j := range idx {
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(seq[a], seq[b]) })
+	outR := make([]dataset.Record, len(order))
+	outS := make([]uint64, len(order))
+	for i, j := range order {
 		outR[i], outS[i] = records[j], seq[j]
 	}
 	return outR, outS
@@ -366,7 +355,7 @@ func (st *RepubState) Apply(delta Delta) (*Anonymized, *RepubState, RepublishSta
 // applyScratch is the reference path: apply the delta to the insertion-ordered
 // logical dataset and rebuild everything from scratch.
 func (st *RepubState) applyScratch(delta Delta, fellBack bool) (*Anonymized, *RepubState, RepublishStats, error) {
-	records, seq := st.orderedRecords()
+	records, seq := mergeShards(st.shards)
 	appends := make([]seqRecord, len(delta.Append))
 	for i, r := range delta.Append {
 		appends[i] = seqRecord{r: r, seq: st.nextSeq + uint64(i)}
@@ -375,7 +364,10 @@ func (st *RepubState) applyScratch(delta Delta, fellBack bool) (*Anonymized, *Re
 	if err != nil {
 		return nil, nil, RepublishStats{}, err
 	}
-	ns := newRepubState(records, seq, st.nextSeq+uint64(len(delta.Append)), st.opts)
+	ns, err := newRepubState(records, seq, st.nextSeq+uint64(len(delta.Append)), st.opts)
+	if err != nil {
+		return nil, nil, RepublishStats{}, err
+	}
 	anon := ns.runAll()
 	dirty := make([]int, len(ns.shards))
 	for i := range dirty {
@@ -536,144 +528,100 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 	// has the same shard count, every shard outside the subtree keeps its
 	// preorder index and the splice stays valid. Only a count change — which
 	// would renumber every later shard and so re-key its PRNG stream —
-	// aborts to the from-scratch fallback.
+	// aborts to the from-scratch fallback. The descent keeps the planner's
+	// ignore set and split path current, so a replant starts from exactly
+	// the context a from-scratch run would reach its subtree with.
 	var dirty []int
 	replanned := 0
-	ignore := make([]bool, len(ns.terms))
-	copy(ignore, ns.excluded)
+	p := ns.planner(slices.Clone(ns.excluded), nil)
 
 	// replant rebuilds the plan subtree rooted at old: its leaves' records
 	// are merged back into insertion (seq) order, the subtree's slice of the
-	// delta is applied, and build reruns over the result with the node's
-	// ignore/path context — exactly the records and context a from-scratch
-	// run would hand this subtree. Preorder numbering makes the old leaves a
-	// contiguous index range; the new leaves must fill the same range.
-	replant := func(old *planNode, path []dataset.Term) (*planNode, error) {
-		var idxs []int
-		var collect func(nd *planNode)
-		collect = func(nd *planNode) {
-			if nd.term < 0 {
-				idxs = append(idxs, nd.shard)
-				return
-			}
-			collect(nd.with)
-			collect(nd.without)
+	// delta is applied, and the planner reruns over the result from the
+	// node's updated counts. Preorder numbering makes the old leaves a
+	// contiguous index range; the new leaves must fill the same range. A
+	// touched leaf is replanted too: the planner recounts it only if the
+	// delta grew it past the cut, and a leaf that must now split changes
+	// the shard count.
+	replant := func(old *planNode, counts []int32) (*planNode, error) {
+		first, last := old, old
+		for first.term >= 0 {
+			first = first.with
 		}
-		collect(old)
-		lo := idxs[0]
-		total := 0
-		for _, si := range idxs {
-			total += len(st.shards[si].records)
+		for last.term >= 0 {
+			last = last.without
 		}
-		records := make([]dataset.Record, 0, total)
-		seq := make([]uint64, 0, total)
+		lo, hi := first.shard, last.shard+1
 		var removes []dataset.Record
 		var appends []seqRecord
-		for _, si := range idxs {
-			sh := st.shards[si]
-			records = append(records, sh.records...)
-			seq = append(seq, sh.seq...)
+		for si := lo; si < hi; si++ {
 			removes = append(removes, shardRemove[si]...)
 			appends = append(appends, shardAppend[si]...)
 		}
-		order := make([]int, len(records))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortFunc(order, func(a, b int) int {
-			if seq[a] < seq[b] {
-				return -1
-			}
-			return 1
-		})
-		mergedR := make([]dataset.Record, len(records))
-		mergedS := make([]uint64, len(records))
-		for i, j := range order {
-			mergedR[i], mergedS[i] = records[j], seq[j]
-		}
-		slices.SortFunc(appends, func(a, b seqRecord) int {
-			if a.seq < b.seq {
-				return -1
-			}
-			return 1
-		})
-		mergedR, mergedS, err := applyWithSeq(mergedR, mergedS, removes, appends)
+		slices.SortFunc(appends, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
+		records, seq := mergeShards(st.shards[lo:hi])
+		records, seq, err := applyWithSeq(records, seq, removes, appends)
 		if err != nil {
 			return nil, err
 		}
-		var leaves []*repubShard
-		nd := ns.build(mergedR, mergedS, ignore, slices.Clone(path), &leaves)
-		if len(leaves) != len(idxs) {
+		p.leaves, p.first = nil, lo
+		nd, err := p.plan(memSource{st: ns, records: records, seq: seq}, counts)
+		if err != nil {
+			return nil, err
+		}
+		if len(p.leaves) != hi-lo {
 			return nil, errShardShift
 		}
-		for i, sh := range leaves {
-			ns.shards[lo+i] = sh
+		for i, l := range p.leaves {
+			ns.shards[lo+i] = newRepubShard(l)
+			dirty = append(dirty, lo+i)
 		}
-		var renumber func(nd *planNode)
-		renumber = func(nd *planNode) {
-			if nd.term < 0 {
-				nd.shard += lo
-				return
-			}
-			renumber(nd.with)
-			renumber(nd.without)
-		}
-		renumber(nd)
-		dirty = append(dirty, idxs...)
-		replanned += len(idxs)
 		return nd, nil
 	}
 
-	var rebuild func(old *planNode, path []dataset.Term) (*planNode, error)
-	rebuild = func(old *planNode, path []dataset.Term) (*planNode, error) {
+	var rebuild func(old *planNode) (*planNode, error)
+	rebuild = func(old *planNode) (*planNode, error) {
 		d := touched[old]
 		if d == nil {
 			return old, nil
 		}
-		counts := make([]int32, len(ns.terms))
-		copy(counts, old.counts)
-		//lint:deterministic order-independent additive scatter into dense counts
-		for idx, dc := range d.dcounts {
-			counts[idx] += dc
+		var counts []int32
+		if old.counts != nil {
+			counts = make([]int32, len(ns.terms))
+			copy(counts, old.counts)
+			//lint:deterministic order-independent additive scatter into dense counts
+			for idx, dc := range d.dcounts {
+				counts[idx] += dc
+			}
+		}
+		if old.term < 0 {
+			return replant(old, counts)
 		}
 		n := old.n + d.dn
-		best, sup, split := ns.decide(n, counts, ignore)
-		nd := &planNode{n: n, counts: counts, term: -1, shard: -1}
-		if old.term >= 0 {
-			if !split || best != old.term {
-				return replant(old, path)
-			}
-			nd.term, nd.sup = best, sup
-			ignore[best] = true
-			w, err := rebuild(old.with, append(path, ns.terms[best]))
-			ignore[best] = false
-			if err != nil {
-				return nil, err
-			}
-			wo, err := rebuild(old.without, path)
-			if err != nil {
-				return nil, err
-			}
-			nd.with, nd.without = w, wo
-			return nd, nil
+		best, sup, split := p.decide(n, counts)
+		if !split || best != old.term {
+			before := len(dirty)
+			nd, err := replant(old, counts)
+			replanned += len(dirty) - before
+			return nd, err
 		}
-		if split {
-			// A leaf that must now split always changes the shard count, so
-			// replant is futile — but route through it anyway for the
-			// uniform not-found error handling; it returns errShardShift.
-			return replant(old, path)
-		}
-		nd.shard = old.shard
-		oldSh := st.shards[old.shard]
-		records, seq, err := applyWithSeq(oldSh.records, oldSh.seq, shardRemove[old.shard], shardAppend[old.shard])
+		nd := &planNode{n: n, counts: counts, term: best, sup: sup, shard: -1}
+		p.ignore[best] = true
+		p.path = append(p.path, best)
+		w, err := rebuild(old.with)
+		p.path = p.path[:len(p.path)-1]
+		p.ignore[best] = false
 		if err != nil {
 			return nil, err
 		}
-		ns.shards[old.shard] = &repubShard{records: records, seq: seq, path: oldSh.path}
-		dirty = append(dirty, old.shard)
+		wo, err := rebuild(old.without)
+		if err != nil {
+			return nil, err
+		}
+		nd.with, nd.without = w, wo
 		return nd, nil
 	}
-	root, err := rebuild(st.root, nil)
+	root, err := rebuild(st.root)
 	if err != nil {
 		return nil, nil, RepublishStats{}, err
 	}
@@ -684,7 +632,7 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 	slices.Sort(dirty)
 	for _, si := range dirty {
 		sh := ns.shards[si]
-		sh.published = ns.runShard(sh, si)
+		sh.published = ns.runShard(sh, si, nil)
 	}
 	out := &Anonymized{K: ns.opts.K, M: ns.opts.M}
 	for _, sh := range ns.shards {

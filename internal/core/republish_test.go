@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -22,24 +23,28 @@ func republishConfigs() []Options {
 	}
 }
 
-// TestAnonymizeWithStateMatchesAnonymize proves the state-building path (plan
-// tree + per-shard local dense domains) publishes byte-identical output to
-// the plain pipeline.
+// TestAnonymizeWithStateMatchesAnonymize pins the publications of the
+// stateful pipeline (plan tree + per-shard local dense domains), which
+// Anonymize runs too, to SHA-256 digests of their WriteBinary bytes at every
+// worker count. Config 1 carries Sensitive keys, which the planner must keep
+// out of splits.
 func TestAnonymizeWithStateMatchesAnonymize(t *testing.T) {
+	want := []string{
+		"dd2b01a6be4956c095c8e416c42ff5b1b34757ae9a832594bad46504c01b7499", // 9 shards
+		"137be8785ab46a73448c788536613bbe385b25a29fa8748d76b119df7be5c2f3", // Sensitive keys, 9 shards
+		"10f357415a83c10db290ed0c402af73196b2a3c10bdd1540095f1b48a36823b9", // DisableRefine, 12 shards
+		"9afbe55807a3624aa27a5fb42f522e5287e4683c3f91e066703ce9f4ef02ba22", // unsharded
+	}
 	for ci, opts := range republishConfigs() {
 		for _, workers := range []int{1, 4} {
 			opts.Parallel = workers
 			d := genDataset(uint64(ci)+3, 11, 180)
-			want, err := Anonymize(d, opts)
-			if err != nil {
-				t.Fatalf("config %d: %v", ci, err)
-			}
 			got, st, err := AnonymizeWithState(d, opts)
 			if err != nil {
 				t.Fatalf("config %d: %v", ci, err)
 			}
-			if !bytes.Equal(encodeAnonymized(t, got), encodeAnonymized(t, want)) {
-				t.Errorf("config %d workers %d: AnonymizeWithState differs from Anonymize", ci, workers)
+			if sum := sha256.Sum256(encodeAnonymized(t, got)); hex.EncodeToString(sum[:]) != want[ci] {
+				t.Errorf("config %d workers %d: digest %x, want %s (%d shards)", ci, workers, sum, want[ci], st.NumShards())
 			}
 			if st.NumRecords() != d.Len() {
 				t.Errorf("config %d: state holds %d records, want %d", ci, st.NumRecords(), d.Len())
@@ -334,5 +339,49 @@ func TestDeltaReplantEquivalence(t *testing.T) {
 	}
 	if !sawReplant && !republishScratchDefault {
 		t.Error("no delta ever exercised the subtree replant: every flip either fell back or never happened")
+	}
+}
+
+// TestDeltaAppendedTermTieBreak pins the tie-break on a grown universe: a
+// term first seen in a delta takes a universe index after every original
+// term, so an argmax tie between it and a smaller-indexed original term must
+// still go to the smaller global term, as it does over a freshly sorted
+// domain. Term 10 arrives in step 1; step 2 leaves it tied with term 30 at
+// the root (support 3 each), and scratch splits on 10.
+func TestDeltaAppendedTermTieBreak(t *testing.T) {
+	opts := Options{K: 2, M: 2, MaxClusterSize: 3, MaxShardRecords: 10, Seed: 5, Parallel: 1}
+	var records []dataset.Record
+	for i := dataset.Term(1); i <= 6; i++ {
+		records = append(records, dataset.NewRecord(30, 50+i))
+	}
+	for i := dataset.Term(1); i <= 5; i++ {
+		records = append(records, dataset.NewRecord(60+i))
+	}
+	_, st, err := AnonymizeWithState(dataset.FromRecords(records), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logical := records
+	steps := []Delta{
+		{Append: []dataset.Record{dataset.NewRecord(10, 71), dataset.NewRecord(10, 72), dataset.NewRecord(10, 73)}},
+		{Remove: []dataset.Record{dataset.NewRecord(30, 51), dataset.NewRecord(30, 52), dataset.NewRecord(30, 53)}},
+	}
+	for step, delta := range steps {
+		if logical, err = applyToRecords(logical, delta); err != nil {
+			t.Fatal(err)
+		}
+		anon, next, stats, err := st.Apply(delta)
+		if err != nil {
+			t.Fatalf("step %d: Apply: %v", step+1, err)
+		}
+		st = next
+		want, err := Anonymize(dataset.FromRecords(logical), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeAnonymized(t, anon), encodeAnonymized(t, want)) {
+			t.Fatalf("step %d: delta republish differs from scratch (dirty %d/%d, replanned %d, fallback %v)",
+				step+1, stats.DirtyShards, stats.TotalShards, stats.ReplannedShards, stats.FullRepublish)
+		}
 	}
 }

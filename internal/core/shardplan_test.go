@@ -2,15 +2,45 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"disasso/internal/dataset"
+	"disasso/internal/quest"
 )
 
+// planDense runs the shard planner over dense records through the
+// in-memory source and returns the plan as AnonymizeShard inputs. Every id
+// 0..|T|-1 occurs in dense, so universe indexes are the ids themselves.
+func planDense(t *testing.T, dense []dataset.Record, nTerms, maxShard, k int) []Shard {
+	t.Helper()
+	seq := make([]uint64, len(dense))
+	for i := range seq {
+		seq[i] = uint64(i)
+	}
+	st, err := newRepubState(dense, seq, uint64(len(dense)), Options{K: k, MaxShardRecords: maxShard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.terms) != nTerms {
+		t.Fatalf("universe holds %d terms, want %d", len(st.terms), nTerms)
+	}
+	shards := make([]Shard, len(st.shards))
+	for i, sh := range st.shards {
+		ignore := make([]bool, nTerms)
+		for _, a := range sh.path {
+			ignore[a] = true
+		}
+		shards[i] = Shard{Records: sh.records, Ignore: ignore, Index: i}
+	}
+	return shards
+}
+
 // TestShardPlanPreservesHorPart pins the property the whole sharded design
-// rests on: cutting the split tree with planShards and continuing HORPART
-// inside each shard (with the split-path terms ignored) yields exactly the
-// clusters, in exactly the order, that one global HORPART run produces.
+// rests on: cutting the split tree with the shard planner and continuing
+// HORPART inside each shard (with the split-path terms ignored) yields
+// exactly the clusters, in exactly the order, that one global HORPART run
+// produces.
 func TestShardPlanPreservesHorPart(t *testing.T) {
 	for _, S := range []int{12, 30, 64, 200} {
 		d := genDataset(11, 7, 260)
@@ -19,7 +49,7 @@ func TestShardPlanPreservesHorPart(t *testing.T) {
 		exclude := make([]bool, dom.Len())
 
 		global := horPartN(dense, dense, dom.Len(), exclude, 12, 1)
-		shards := planShards(dense, dom.Len(), exclude, S, 3)
+		shards := planDense(t, dense, dom.Len(), S, 3)
 
 		total := 0
 		for _, sh := range shards {
@@ -53,32 +83,40 @@ func TestShardPlanPreservesHorPart(t *testing.T) {
 // ignored terms, the tie-break, and the lopsided-side guard.
 func TestShardCut(t *testing.T) {
 	ignore := make([]bool, 4)
-	if _, _, split := ShardCut(10, []int32{5, 5, 0, 0}, ignore, 10, 2); split {
+	sorted := []dataset.Term{10, 20, 30, 40}
+	if _, _, split := shardCut(10, []int32{5, 5, 0, 0}, ignore, sorted, 10, 2); split {
 		t.Error("node at maxShard split")
 	}
-	if _, _, split := ShardCut(10, []int32{5, 5, 0, 0}, ignore, 0, 2); split {
+	if _, _, split := shardCut(10, []int32{5, 5, 0, 0}, ignore, sorted, 0, 2); split {
 		t.Error("maxShard=0 split")
 	}
-	term, sup, split := ShardCut(10, []int32{5, 5, 0, 3}, ignore, 9, 2)
+	term, sup, split := shardCut(10, []int32{5, 5, 0, 3}, ignore, sorted, 9, 2)
 	if !split || term != 0 || sup != 5 {
 		t.Errorf("tie-break: got term=%d sup=%d split=%v, want 0/5/true", term, sup, split)
 	}
+	// A grown universe: index 0 holds term 50, appended after the original
+	// terms, so the tie goes to index 1 (term 20), the smaller global term.
+	grown := []dataset.Term{50, 20, 30, 40}
+	term, sup, split = shardCut(10, []int32{5, 5, 0, 3}, ignore, grown, 9, 2)
+	if !split || term != 1 || sup != 5 {
+		t.Errorf("tie-break by global term: got term=%d sup=%d split=%v, want 1/5/true", term, sup, split)
+	}
 	ignore[0] = true
-	term, _, split = ShardCut(10, []int32{5, 5, 0, 3}, ignore, 9, 2)
+	term, _, split = shardCut(10, []int32{5, 5, 0, 3}, ignore, sorted, 9, 2)
 	if !split || term != 1 {
 		t.Errorf("ignored term still chosen: term=%d split=%v", term, split)
 	}
 	ignore[0] = false
 	// With-side below k: support 1 < k=2.
-	if _, _, split := ShardCut(10, []int32{1, 0, 0, 0}, ignore, 9, 2); split {
+	if _, _, split := shardCut(10, []int32{1, 0, 0, 0}, ignore, sorted, 9, 2); split {
 		t.Error("split with with-side below k")
 	}
 	// Without-side below k: 10-9 = 1 < 2.
-	if _, _, split := ShardCut(10, []int32{9, 0, 0, 0}, ignore, 9, 2); split {
+	if _, _, split := shardCut(10, []int32{9, 0, 0, 0}, ignore, sorted, 9, 2); split {
 		t.Error("split with without-side below k")
 	}
 	// No usable term at all.
-	if _, _, split := ShardCut(10, []int32{0, 0, 0, 0}, ignore, 9, 2); split {
+	if _, _, split := shardCut(10, []int32{0, 0, 0, 0}, ignore, sorted, 9, 2); split {
 		t.Error("split without any usable term")
 	}
 }
@@ -91,10 +129,9 @@ func TestShardPlanNeverStrandsBelowK(t *testing.T) {
 		d := genDataset(seed, seed+41, 150+int(seed)*30)
 		dom := dataset.NewDenseDomain(d.Records)
 		dense := dom.RemapAll(d.Records)
-		exclude := make([]bool, dom.Len())
 		for _, k := range []int{2, 4, 7} {
 			for _, S := range []int{10, 25, 60} {
-				shards := planShards(dense, dom.Len(), exclude, S, k)
+				shards := planDense(t, dense, dom.Len(), S, k)
 				for _, sh := range shards {
 					if len(sh.Records) < k && len(shards) > 1 {
 						t.Fatalf("seed %d k=%d S=%d: shard %d stranded with %d < k records",
@@ -142,7 +179,7 @@ func TestShardPlanMaxClusterClamp(t *testing.T) {
 func TestShardCutAllRecordsOneTerm(t *testing.T) {
 	const n = 40
 	ignore := make([]bool, 2)
-	term, sup, split := ShardCut(n, []int32{n, 1}, ignore, 10, 2)
+	term, sup, split := shardCut(n, []int32{n, 1}, ignore, []dataset.Term{0, 1}, 10, 2)
 	if split {
 		t.Errorf("split on a term present in all records: term=%d sup=%d", term, sup)
 	}
@@ -158,7 +195,7 @@ func TestShardCutAllRecordsOneTerm(t *testing.T) {
 	}
 	dom := dataset.NewDenseDomain(records)
 	dense := dom.RemapAll(records)
-	shards := planShards(dense, dom.Len(), make([]bool, dom.Len()), 10, 2)
+	shards := planDense(t, dense, dom.Len(), 10, 2)
 	if len(shards) != 1 {
 		t.Fatalf("degenerate dataset split into %d shards, want 1", len(shards))
 	}
@@ -204,5 +241,37 @@ func TestAnonymizeShardedValid(t *testing.T) {
 		if !bytes.Equal(encodeAnonymized(t, got), want) {
 			t.Errorf("sharded output differs at Parallel=%d", workers)
 		}
+	}
+}
+
+// BenchmarkShardPlan times the in-memory plan build alone (the universe plus
+// the plan recursion, no anonymization) at the shape of the end-to-end
+// benchmark's publish workload: its 20k Quest records (5k-term domain,
+// average length 10, Quest seed 1), unsharded and at cuts 1,040 and 2,000.
+// Cut 2,000 is the workload's live dataset, a 150-deep chain of 151 shards.
+func BenchmarkShardPlan(b *testing.B) {
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions = 20_000
+	g, err := quest.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	records := g.Generate().Records
+	seq := make([]uint64, len(records))
+	for i := range seq {
+		seq[i] = uint64(i)
+	}
+	for _, cut := range []int{0, 1040, 2000} {
+		b.Run(fmt.Sprintf("cut=%d", cut), func(b *testing.B) {
+			opts := Options{K: 5, M: 2, MaxShardRecords: cut}.withDefaults()
+			var st *RepubState
+			for i := 0; i < b.N; i++ {
+				var err error
+				if st, err = newRepubState(records, seq, uint64(len(records)), opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(st.NumShards()), "shards")
+		})
 	}
 }

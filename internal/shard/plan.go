@@ -9,89 +9,35 @@ import (
 	"disasso/internal/dataset"
 )
 
-// The file-based shard planner mirrors core's in-memory planShards over
-// spill files: the same preorder (with-branch first), the same mutate-and-
-// undo ignore discipline and the same core.ShardCut decisions, so for equal
-// options both planners cut the split tree at identical nodes and the
-// concatenated per-shard outputs are byte-identical to the in-memory path.
+// The engine plans its shards with core.Plan, the one shard-plan recursion
+// the in-memory path runs too, over spill files: spillFile is the
+// core.PlanSource whose split routes a node's file into two child files. For
+// equal options both paths therefore cut the split tree at identical nodes,
+// and the concatenated per-shard outputs are byte-identical to the in-memory
+// path.
 
-// plan recursively routes the root spill file into shard files. counts is
-// the dense per-term support of the whole stream (from pass 1); exclude the
-// sensitive split exclusions.
-func (e *engine) plan(counts []int32, exclude []bool) error {
-	ignore := make([]bool, e.dom.Len())
-	copy(ignore, exclude)
-	root := fileShard{path: e.spill.f.Name(), n: e.numRecords}
-	return e.planNode(root, counts, ignore, nil)
+// spillFile is one shard-plan node backed by a spill file of binary records:
+// dense term ids, except for the root, which keeps its original terms until
+// its first split remaps them.
+type spillFile struct {
+	e     *engine
+	path  string
+	n     int
+	dense bool
 }
 
-// planNode decides one split-tree node. counts may be nil for a node whose
-// supports were not retained; it is then recounted from the file. The
-// caller cedes ownership of counts. ignore is mutated for the with-subtree
-// and restored afterwards; path tracks the split terms consumed so far,
-// snapshotted into emitted shards.
-func (e *engine) planNode(node fileShard, counts []int32, ignore []bool, path []int32) error {
-	if counts == nil {
-		var err error
-		if counts, err = e.countFile(node); err != nil {
-			return err
-		}
-	}
-	a, _, split := core.ShardCut(node.n, counts, ignore, e.copts.MaxShardRecords, e.copts.K)
-	if !split {
-		node.pathTerms = append([]int32(nil), path...)
-		e.shards = append(e.shards, node)
-		return nil
-	}
-	with, without, withCounts, err := e.route(node, a)
-	if err != nil {
-		return err
-	}
-	os.Remove(node.path)
+func (s spillFile) Len() int { return s.n }
 
-	// The without side's supports are the parent's minus the with side's
-	// (every occurrence lands on exactly one side), so they come for free by
-	// in-place subtraction — no recount pass. The array must survive the
-	// with-recursion, so the hold is budgeted: past the cap it is dropped
-	// and the without side recounts from its file when reached. On the
-	// common lopsided-split chains the with-subtree is a leaf that returns
-	// immediately, so only one level's counts are ever held.
-	woCounts := counts
-	countBytes := int64(len(counts)) * 4
-	if e.heldCountBytes+countBytes > e.budget/4 {
-		woCounts = nil
-	} else {
-		for t, c := range withCounts {
-			woCounts[t] -= c
-		}
-	}
-	counts = nil
-
-	// With-subtree first (preorder), under ignore[a]; the without side keeps
-	// the parent's ignore set, exactly like horPartN.
-	ignore[a] = true
-	if woCounts != nil {
-		e.heldCountBytes += countBytes
-	}
-	err = e.planNode(with, withCounts, ignore, append(path, a))
-	if woCounts != nil {
-		e.heldCountBytes -= countBytes
-	}
-	if err != nil {
-		return err
-	}
-	ignore[a] = false
-	return e.planNode(without, woCounts, ignore, path)
-}
-
-// countFile computes a node's dense per-term supports in one streaming pass.
-func (e *engine) countFile(node fileShard) ([]int32, error) {
-	f, err := os.Open(node.path)
+// Count computes the node's dense per-term supports in one streaming pass.
+// It is never asked of the root, whose supports the counting pass supplies,
+// so the file holds dense ids.
+func (s spillFile) Count() ([]int32, error) {
+	f, err := os.Open(s.path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	counts := make([]int32, e.dom.Len())
+	counts := make([]int32, s.e.dom.Len())
 	rr := dataset.NewBinaryRecordReader(f)
 	var buf dataset.Record
 	for {
@@ -100,7 +46,7 @@ func (e *engine) countFile(node fileShard) ([]int32, error) {
 			return counts, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("shard: count %s: %w", node.path, err)
+			return nil, fmt.Errorf("shard: count %s: %w", s.path, err)
 		}
 		for _, t := range rec {
 			counts[t]++
@@ -109,17 +55,20 @@ func (e *engine) countFile(node fileShard) ([]int32, error) {
 	}
 }
 
-// route splits a node's file on dense term a: records containing a stream to
-// the with-file, the rest to the without-file, preserving order on both
-// sides. The with-side supports are counted during the pass (they steer the
-// immediate with-recursion); the without side is recounted lazily if needed.
-// Records of the root file (original terms) are remapped to dense ids here,
-// so every routed file holds dense records.
-func (e *engine) route(node fileShard, a int32) (with, without fileShard, withCounts []int32, err error) {
-	f, err := os.Open(node.path)
+// Split routes the node's file on dense term a: records containing a
+// stream to the with-file, the rest to the without-file, preserving order on
+// both sides, and the node's own file is removed. The with-side supports are
+// counted during the pass (they steer the immediate with-recursion); the
+// planner derives the without side's by subtraction. Records of the root
+// file (original terms) are remapped to dense ids here, so every routed file
+// holds dense records.
+func (s spillFile) Split(a, _ int32) (with, without spillFile, withCounts []int32, err error) {
+	e := s.e
+	f, err := os.Open(s.path)
 	if err != nil {
 		return with, without, nil, err
 	}
+	defer os.Remove(s.path)
 	defer f.Close()
 
 	withPath, woPath := e.tmpPath("with"), e.tmpPath("wo")
@@ -139,8 +88,8 @@ func (e *engine) route(node fileShard, a int32) (with, without fileShard, withCo
 	ww := dataset.NewBinaryRecordWriter(wcw)
 	wow := dataset.NewBinaryRecordWriter(wocw)
 	withCounts = make([]int32, e.dom.Len())
-	with = fileShard{path: withPath, dense: true}
-	without = fileShard{path: woPath, dense: true}
+	with = spillFile{e: e, path: withPath, dense: true}
+	without = spillFile{e: e, path: woPath, dense: true}
 
 	rr := dataset.NewBinaryRecordReader(f)
 	var buf, denseBuf dataset.Record
@@ -150,10 +99,10 @@ func (e *engine) route(node fileShard, a int32) (with, without fileShard, withCo
 			break
 		}
 		if rerr != nil {
-			return with, without, nil, fmt.Errorf("shard: route %s: %w", node.path, rerr)
+			return with, without, nil, fmt.Errorf("shard: route %s: %w", s.path, rerr)
 		}
 		buf = rec
-		if !node.dense {
+		if !s.dense {
 			denseBuf = e.remap(rec, denseBuf[:0])
 			rec = denseBuf
 		}
@@ -168,7 +117,7 @@ func (e *engine) route(node fileShard, a int32) (with, without fileShard, withCo
 			err = wow.Write(rec)
 		}
 		if err != nil {
-			return with, without, nil, fmt.Errorf("shard: route %s: %w", node.path, err)
+			return with, without, nil, fmt.Errorf("shard: route %s: %w", s.path, err)
 		}
 	}
 	if err := ww.Flush(); err != nil {

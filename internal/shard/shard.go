@@ -14,9 +14,10 @@
 //  1. a first counting pass streams the records, accumulating per-term
 //     supports (never materializing the dataset) and spilling records to a
 //     temp file once the memory budget is reached;
-//  2. the spilled records are routed into shard files by recursively
-//     applying HORPART's most-frequent-term rule (core.ShardCut) until each
-//     shard is at most MaxShardRecords;
+//  2. the spilled records are routed into shard files by core.Plan, the
+//     shard-plan recursion the in-memory path runs too, which applies
+//     HORPART's most-frequent-term rule until each shard is at most
+//     MaxShardRecords; here each split streams a node's spill file into two;
 //  3. shards run through the core pipeline in parallel (par.DoWorker), each
 //     worker holding one shard in memory, staging published clusters to
 //     per-shard body files via the chunked writers;
@@ -58,8 +59,11 @@ type Options struct {
 	// Core carries the anonymization parameters. MaxShardRecords, when set,
 	// fixes the shard cut explicitly; when zero the engine derives it from
 	// MemoryBudget after the counting pass (and records the choice in
-	// Stats.ShardRecords). All other fields mean exactly what they mean for
-	// core.Anonymize.
+	// Stats.ShardRecords). The derived cut is one worker's share of the
+	// budget, so unlike every other use of Parallel it changes the
+	// published bytes; passing Stats.ShardRecords back as MaxShardRecords
+	// reproduces them at any worker count. All other fields mean exactly
+	// what they mean for core.Anonymize.
 	Core core.Options
 	// MemoryBudget is the target working-set bound in bytes; 0 means
 	// DefaultMemoryBudget. It is best effort: a shard that cannot be split
@@ -145,9 +149,16 @@ func Anonymize(r io.Reader, w io.Writer, opts Options) (Stats, error) {
 		return st, core.WriteBinary(w, a)
 	}
 
+	// Supports held across with-subtrees while planning are capped at a
+	// quarter of the budget; past it the without side recounts its file.
 	exclude, sensitive := core.SensitiveBits(copts, e.dom)
-	if err := e.plan(counts, exclude); err != nil {
+	root := spillFile{e: e, path: e.spill.f.Name(), n: e.numRecords}
+	leaves, err := core.Plan(root, counts, terms, exclude, copts, e.budget/4)
+	if err != nil {
 		return st, err
+	}
+	for _, l := range leaves {
+		e.shards = append(e.shards, fileShard{spillFile: l.Source, pathTerms: l.Path})
 	}
 	st.Shards = len(e.shards)
 
@@ -180,9 +191,8 @@ type engine struct {
 	bufferedBytes int64
 	spill         *spillWriter
 
-	shards         []fileShard
-	spillBytes     atomic.Int64
-	heldCountBytes int64 // support arrays held across with-recursions (capped)
+	shards     []fileShard
+	spillBytes atomic.Int64
 }
 
 // countingWriter tracks the bytes written through it, feeding
@@ -198,14 +208,11 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// fileShard is one planned shard: a spill file of records (dense term ids,
-// except for an unsplit root which stays in original terms), its record
-// count and the split-path terms its HORPART continuation must ignore.
+// fileShard is one planned shard: its spill file and the split-path terms
+// its HORPART continuation must ignore.
 type fileShard struct {
-	path      string
-	n         int
+	spillFile
 	pathTerms []int32
-	dense     bool
 
 	bodyPath string // staged published clusters
 	clusters int

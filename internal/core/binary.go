@@ -21,8 +21,9 @@ import (
 //	  leaf : uvarint Size, uvarint #chunks, chunk..., record(TermChunk)
 //	  joint: uvarint #children, node..., uvarint #shared, chunk...
 //	chunk  := record(Domain), uvarint #subrecords, record...
-//	record := uvarint len, then delta-encoded terms (first absolute,
-//	          subsequent gaps ≥ 1) as uvarints
+//	record := uvarint len, then delta-encoded terms as uvarints: the
+//	          first as its uint32 bit pattern, subsequent gaps ≥ 1
+//	          (dataset.EncodeRecord)
 const binaryMagic = "DSA1"
 
 // WriteBinary writes the publication in the compact binary format. It is the
@@ -62,7 +63,7 @@ func writeNode(put func(uint64) error, n *ClusterNode) error {
 				return err
 			}
 		}
-		return writeRecord(put, cl.TermChunk)
+		return dataset.EncodeRecord(put, cl.TermChunk)
 	}
 	if err := put(1); err != nil {
 		return err
@@ -87,36 +88,16 @@ func writeNode(put func(uint64) error, n *ClusterNode) error {
 }
 
 func writeChunk(put func(uint64) error, c Chunk) error {
-	if err := writeRecord(put, c.Domain); err != nil {
+	if err := dataset.EncodeRecord(put, c.Domain); err != nil {
 		return err
 	}
 	if err := put(uint64(len(c.Subrecords))); err != nil {
 		return err
 	}
 	for _, sr := range c.Subrecords {
-		if err := writeRecord(put, sr); err != nil {
+		if err := dataset.EncodeRecord(put, sr); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// writeRecord delta-encodes a normalized record: the first term absolute,
-// every following term as the gap to its predecessor (always ≥ 1).
-func writeRecord(put func(uint64) error, r dataset.Record) error {
-	if err := put(uint64(len(r))); err != nil {
-		return err
-	}
-	prev := dataset.Term(0)
-	for i, t := range r {
-		if i == 0 {
-			if err := put(uint64(uint32(t))); err != nil {
-				return err
-			}
-		} else if err := put(uint64(t - prev)); err != nil {
-			return err
-		}
-		prev = t
 	}
 	return nil
 }
@@ -282,25 +263,5 @@ func readRecord(get func() (uint64, error)) (dataset.Record, error) {
 	if n == 0 {
 		return dataset.Record{}, nil
 	}
-	r := make(dataset.Record, 0, preallocCap(n))
-	var cur uint64
-	for i := uint64(0); i < n; i++ {
-		v, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			cur = v
-		} else {
-			if v == 0 {
-				return nil, fmt.Errorf("zero gap: record not strictly increasing")
-			}
-			cur += v
-		}
-		if cur > 1<<31-1 {
-			return nil, fmt.Errorf("term %d overflows", cur)
-		}
-		r = append(r, dataset.Term(cur))
-	}
-	return r, nil
+	return dataset.DecodeRecordTerms(get, n, make(dataset.Record, 0, preallocCap(n)))
 }

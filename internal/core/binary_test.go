@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -29,16 +30,19 @@ func TestBinaryRoundTripFigure2(t *testing.T) {
 	}
 }
 
+// TestBinaryRoundTripRandom round-trips a publication over negative and
+// non-negative terms, including the full int32 span, whose gap needs 32 bits.
 func TestBinaryRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 7))
 	var records []dataset.Record
 	for i := 0; i < 300; i++ {
 		terms := make([]dataset.Term, 1+rng.IntN(5))
 		for j := range terms {
-			terms[j] = dataset.Term(rng.IntN(40))
+			terms[j] = dataset.Term(rng.IntN(40) - 20)
 		}
 		records = append(records, dataset.NewRecord(terms...))
 	}
+	records = append(records, dataset.NewRecord(math.MinInt32, math.MaxInt32))
 	d := dataset.FromRecords(records)
 	a, err := Anonymize(d, Options{K: 3, M: 2, Seed: 2})
 	if err != nil {

@@ -312,7 +312,8 @@ func (st *RepubState) NumRecords() int {
 func (st *RepubState) NumShards() int { return len(st.shards) }
 
 // ShardClusters returns shard i's published nodes. Callers must treat them as
-// immutable: clean shards share their nodes across snapshots.
+// immutable: clean shards share their nodes across snapshots. Its one caller
+// is bench/replay.
 func (st *RepubState) ShardClusters(i int) []*ClusterNode { return st.shards[i].published }
 
 // Options returns the effective (defaulted) options the state publishes with.

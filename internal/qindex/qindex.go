@@ -241,18 +241,11 @@ func (ix *Index) Anonymized() *core.Anonymized { return ix.a }
 // NumTerms returns the published domain size |T|.
 func (ix *Index) NumTerms() int { return len(ix.terms) }
 
-// Terms returns the published domain, ascending. The caller must not modify
-// the returned slice.
-func (ix *Index) Terms() []dataset.Term { return ix.terms }
-
 // Rank returns the dense rank of a term and whether it is in the domain.
 func (ix *Index) Rank(t dataset.Term) (int32, bool) {
 	r, ok := slices.BinarySearch(ix.terms, t)
 	return int32(r), ok
 }
-
-// TermOf returns the global term at a rank.
-func (ix *Index) TermOf(rank int32) dataset.Term { return ix.terms[rank] }
 
 // Postings returns the term's posting list, sorted by cluster id. The caller
 // must not modify the returned slice.

@@ -45,20 +45,11 @@ type Estimator struct {
 // NewEstimator builds the inverted index over the published dataset and the
 // estimator on top of it.
 func NewEstimator(a *core.Anonymized) *Estimator {
-	return NewEstimatorWithIndex(a, qindex.Build(a))
-}
-
-// NewEstimatorWithIndex builds an estimator over an already-built index
-// (which must index exactly a).
-func NewEstimatorWithIndex(a *core.Anonymized, ix *qindex.Index) *Estimator {
-	nodes := make([]*nodeIndex, len(a.Clusters))
-	for i, n := range a.Clusters {
-		nodes[i] = buildNodeIndex(n)
-	}
+	ix := qindex.Build(a)
 	return &Estimator{
 		a:          a,
 		ix:         ix,
-		nodes:      nodes,
+		nodes:      buildNodeIndexes(a),
 		singles:    computeSingles(a, ix),
 		numRecords: a.NumRecords(),
 	}
@@ -87,15 +78,18 @@ func NewRecoveredEstimator(a *core.Anonymized, ix *qindex.Index, singles []Estim
 // use for recovered estimators. Safe for concurrent callers.
 func (e *Estimator) nodeIndexes() []*nodeIndex {
 	if e.lazyNodes {
-		e.nodesOnce.Do(func() {
-			nodes := make([]*nodeIndex, len(e.a.Clusters))
-			for i, n := range e.a.Clusters {
-				nodes[i] = buildNodeIndex(n)
-			}
-			e.nodes = nodes
-		})
+		e.nodesOnce.Do(func() { e.nodes = buildNodeIndexes(e.a) })
 	}
 	return e.nodes
+}
+
+// buildNodeIndexes builds the chunk postings of every top-level cluster.
+func buildNodeIndexes(a *core.Anonymized) []*nodeIndex {
+	nodes := make([]*nodeIndex, len(a.Clusters))
+	for i, n := range a.Clusters {
+		nodes[i] = buildNodeIndex(n)
+	}
+	return nodes
 }
 
 // Index returns the underlying inverted index.
@@ -179,26 +173,6 @@ type singlesPass struct {
 // estimateNode's clamps in leaf-major accumulation order, and at the end it
 // applies Support's final sandwich clamp.
 func computeSingles(a *core.Anonymized, ix *qindex.Index) []Estimate {
-	singles := make([]Estimate, ix.NumTerms())
-	forEachClusterContribution(a, ix, func(r int32, o Estimate) {
-		singles[r].Lower += o.Lower
-		singles[r].Upper += o.Upper
-		singles[r].Expected += o.Expected
-	})
-	for r := range singles {
-		singles[r] = clampEstimate(singles[r])
-	}
-	return singles
-}
-
-// forEachClusterContribution walks the forest cluster by cluster and emits
-// each touched rank's per-cluster clamped estimate, in cluster order — the
-// exact contribution sequence computeSingles folds. The delta-republish path
-// captures these per shard and re-folds them globally; keeping the fold
-// left-to-right in cluster order is what makes the Expected float of an
-// incrementally assembled estimator bit-identical to a full build (float
-// addition is not associative, so per-part partial sums would not be).
-func forEachClusterContribution(a *core.Anonymized, ix *qindex.Index, emit func(r int32, o Estimate)) {
 	n := ix.NumTerms()
 	p := &singlesPass{
 		ix:        ix,
@@ -215,14 +189,24 @@ func forEachClusterContribution(a *core.Anonymized, ix *qindex.Index, emit func(
 		p.nodeStamp[i] = -1
 		p.leafStamp[i] = -1
 	}
+	singles := make([]Estimate, n)
 	for ci, node := range a.Clusters {
 		p.touched = p.touched[:0]
 		p.walk(node, int32(ci))
-		// estimateNode's node-level clamps, then hand off to the fold.
+		// estimateNode's node-level clamps, then the sum in cluster order,
+		// the order the scan path adds clusters in: float addition is not
+		// associative, so this order is what keeps Expected bit-identical.
 		for _, r := range p.touched {
-			emit(r, clampEstimate(Estimate{Lower: p.lower[r], Upper: p.upper[r], Expected: p.expected[r]}))
+			o := clampEstimate(Estimate{Lower: p.lower[r], Upper: p.upper[r], Expected: p.expected[r]})
+			singles[r].Lower += o.Lower
+			singles[r].Upper += o.Upper
+			singles[r].Expected += o.Expected
 		}
 	}
+	for r := range singles {
+		singles[r] = clampEstimate(singles[r])
+	}
+	return singles
 }
 
 // touch readies the node-scoped accumulators of a rank for the cluster.

@@ -1,83 +1,22 @@
 package query
 
-import (
-	"disasso/internal/core"
-	"disasso/internal/qindex"
-)
+import "disasso/internal/core"
 
-// EstimatorPart is the reusable serving state of one contiguous segment of a
-// publication's top-level clusters — in practice, one delta-republish shard.
-// A part is immutable; a delta republish rebuilds parts only for its dirty
-// shards and assembles the full estimator from the mixed old and new parts
-// with NewEstimatorFromParts, making index and estimator maintenance
-// O(churn) like the anonymization itself.
-type EstimatorPart struct {
-	a       *core.Anonymized // the segment's clusters under the publication's K/M
-	ix      *qindex.Index    // inverted index over the segment alone
-	nodes   []*nodeIndex     // per-cluster chunk postings, reusable as-is
-	contrib [][]Estimate     // per local rank: per-cluster clamped singleton contributions, cluster order
-	records int
-}
+// EstimatorPart, BuildEstimatorPart and NewEstimatorFromParts are what is
+// left of the per-shard estimator assembly. The server builds every
+// published and delta snapshot's estimator in full with NewEstimator; these
+// three remain only because bench/replay, the end-to-end benchmark's traced
+// replay, still calls them. A part holds nothing, and NewEstimatorFromParts
+// is NewEstimator, so the replay times the one full build under its
+// query.from_parts span. Delete them with the replay's next change.
+type EstimatorPart struct{}
 
-// BuildEstimatorPart indexes one contiguous cluster segment of a publication
-// with parameters k and m.
+// BuildEstimatorPart returns an empty part; see EstimatorPart.
 func BuildEstimatorPart(k, m int, clusters []*core.ClusterNode) *EstimatorPart {
-	pa := &core.Anonymized{K: k, M: m, Clusters: clusters}
-	ix := qindex.Build(pa)
-	nodes := make([]*nodeIndex, len(clusters))
-	for i, n := range clusters {
-		nodes[i] = buildNodeIndex(n)
-	}
-	contrib := make([][]Estimate, ix.NumTerms())
-	forEachClusterContribution(pa, ix, func(r int32, o Estimate) {
-		contrib[r] = append(contrib[r], o)
-	})
-	return &EstimatorPart{a: pa, ix: ix, nodes: nodes, contrib: contrib, records: pa.NumRecords()}
+	return &EstimatorPart{}
 }
 
-// NumClusters returns the number of top-level clusters the part covers.
-func (p *EstimatorPart) NumClusters() int { return len(p.a.Clusters) }
-
-// NewEstimatorFromParts assembles the estimator of a full publication from
-// its contiguous parts: parts[i] must cover the i-th segment of a.Clusters,
-// in order. The result is identical — including every Expected float bit —
-// to NewEstimator(a): the inverted index is merged segment-wise, per-cluster
-// node indexes are spliced through, and the singleton estimates are re-folded
-// from the parts' per-cluster contributions in global cluster order, exactly
-// the sequence computeSingles produces.
+// NewEstimatorFromParts returns NewEstimator(a); see EstimatorPart.
 func NewEstimatorFromParts(a *core.Anonymized, parts []*EstimatorPart) *Estimator {
-	ixParts := make([]*qindex.Index, len(parts))
-	nodes := make([]*nodeIndex, 0, len(a.Clusters))
-	numRecords := 0
-	for i, p := range parts {
-		ixParts[i] = p.ix
-		nodes = append(nodes, p.nodes...)
-		numRecords += p.records
-	}
-	ix := qindex.Merge(a, ixParts)
-	singles := make([]Estimate, ix.NumTerms())
-	for _, p := range parts {
-		terms := p.ix.Terms()
-		g := int32(0)
-		for lr, t := range terms {
-			for ix.TermOf(g) != t {
-				g++
-			}
-			for _, o := range p.contrib[lr] {
-				singles[g].Lower += o.Lower
-				singles[g].Upper += o.Upper
-				singles[g].Expected += o.Expected
-			}
-		}
-	}
-	for r := range singles {
-		singles[r] = clampEstimate(singles[r])
-	}
-	return &Estimator{
-		a:          a,
-		ix:         ix,
-		nodes:      nodes,
-		singles:    singles,
-		numRecords: numRecords,
-	}
+	return NewEstimator(a)
 }

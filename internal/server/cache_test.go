@@ -52,7 +52,7 @@ func TestSupportCacheTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn := newSnapshot("t", a, false, core.Options{}, cfg.cacheEntries)
+		sn := newSnapshot("t", a, nil, nil, core.Options{}, cfg.cacheEntries)
 		if sn.cache == nil {
 			t.Fatalf("config %d: cache not built for %d entries", ci, cfg.cacheEntries)
 		}
@@ -95,16 +95,16 @@ func TestSupportCacheDisabled(t *testing.T) {
 	a, itemsets := cacheBenchPublication(t, 200, 40)
 	// Non-positive caps mean "no cache at all"...
 	for _, entries := range []int{-1, 0} {
-		if sn := newSnapshot("t", a, false, core.Options{}, entries); sn.cache != nil {
+		if sn := newSnapshot("t", a, nil, nil, core.Options{}, entries); sn.cache != nil {
 			t.Errorf("newSnapshot(cacheEntries=%d) built a cache", entries)
 		}
 	}
 	// ...while a small positive cap rounds up to one entry per shard
 	// rather than silently disabling.
-	if sn := newSnapshot("t", a, false, core.Options{}, cacheShards-1); sn.cache == nil {
+	if sn := newSnapshot("t", a, nil, nil, core.Options{}, cacheShards-1); sn.cache == nil {
 		t.Errorf("newSnapshot(cacheEntries=%d) disabled the cache", cacheShards-1)
 	}
-	sn := newSnapshot("t", a, false, core.Options{}, 1024)
+	sn := newSnapshot("t", a, nil, nil, core.Options{}, 1024)
 	old := supportCacheOn
 	supportCacheOn = false
 	defer func() { supportCacheOn = old }()
@@ -127,7 +127,7 @@ func TestSupportCacheConcurrent(t *testing.T) {
 	defer func() { supportCacheOn = old }()
 
 	a, _ := cacheBenchPublication(t, 400, 80)
-	sn := newSnapshot("t", a, false, core.Options{}, 64)
+	sn := newSnapshot("t", a, nil, nil, core.Options{}, 64)
 	uncached := query.NewEstimator(a)
 	spec, err := load.ParseSpec("singleton weight=2 zipf=1.2\nitemset weight=1 min=2 max=3")
 	if err != nil {
@@ -206,7 +206,7 @@ func BenchmarkServedSupportCached(b *testing.B) {
 	supportCacheOn = true
 	defer func() { supportCacheOn = old }()
 	a, itemsets := cacheBenchPublication(b, 2000, 300)
-	sn := newSnapshot("b", a, false, core.Options{}, defaultCacheEntries)
+	sn := newSnapshot("b", a, nil, nil, core.Options{}, defaultCacheEntries)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -219,7 +219,7 @@ func BenchmarkServedSupportUncached(b *testing.B) {
 	supportCacheOn = false
 	defer func() { supportCacheOn = old }()
 	a, itemsets := cacheBenchPublication(b, 2000, 300)
-	sn := newSnapshot("b", a, false, core.Options{}, defaultCacheEntries)
+	sn := newSnapshot("b", a, nil, nil, core.Options{}, defaultCacheEntries)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

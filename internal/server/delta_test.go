@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"disasso/internal/core"
 	"disasso/internal/dataset"
 	"disasso/internal/query"
+	"disasso/internal/quest"
 )
 
 // renderRecords writes records in the upload/delta text format.
@@ -230,4 +232,72 @@ func TestServerDeltaErrors(t *testing.T) {
 	do(t, client, "POST", srv.URL+"/v1/datasets/ds/append", "", http.StatusBadRequest, nil)
 	do(t, client, "POST", srv.URL+"/v1/datasets/ds/append", "1 frog\n", http.StatusBadRequest, nil)
 	do(t, client, "POST", srv.URL+"/v1/datasets/ds/remove", "\n\n", http.StatusBadRequest, nil)
+}
+
+// BenchmarkServerDelta times deltas against the end-to-end benchmark's
+// `live` publication: the first 20,000 of 20,260 Quest records (seed 1,
+// 5k-term domain, average length 10), published with k=5, m=2, seed=1 and a
+// 2,000-record shard cut on a persistent server, driven through ServeHTTP.
+// Each iteration is one append and one remove of the same batch:
+//
+//   - batch=20: the first 20 generated records past the published prefix
+//     that repeat neither a published record nor each other, the
+//     benchmark's first held-out batch;
+//   - batch=1: a copy of published record 0, which dirties a single shard.
+//
+// ms/delta is the mean handler time of one append or remove, dirty-shards
+// the most shards one delta re-anonymized.
+func BenchmarkServerDelta(b *testing.B) {
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions, cfg.DomainSize, cfg.AvgTransLen, cfg.Seed = 20_260, 5000, 10, 1
+	g, err := quest.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := g.Generate().Records
+	published := all[:20_000]
+	seen := make(map[string]bool, len(published))
+	for _, r := range published {
+		seen[renderRecords([]dataset.Record{r})] = true
+	}
+	var held []dataset.Record
+	for _, r := range all[len(published):] {
+		if len(held) == 20 {
+			break
+		}
+		if k := renderRecords([]dataset.Record{r}); !seen[k] {
+			seen[k] = true
+			held = append(held, r)
+		}
+	}
+	s := New(Options{DataDir: b.TempDir(), TempDir: b.TempDir()})
+	serve := func(path, body string, status int) []byte {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if rec.Code != status {
+			b.Fatalf("POST %s: status %d, want %d; body: %s", path, rec.Code, status, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	serve("/v1/datasets/live?k=5&m=2&seed=1&shardrecords=2000", renderRecords(published), http.StatusCreated)
+	for _, c := range []struct {
+		name  string
+		batch []dataset.Record
+	}{{"batch=20", held}, {"batch=1", published[:1]}} {
+		body := renderRecords(c.batch)
+		b.Run(c.name, func(b *testing.B) {
+			dirty := 0
+			for i := 0; i < b.N; i++ {
+				for _, op := range []string{"append", "remove"} {
+					var dr DeltaResponse
+					if err := json.Unmarshal(serve("/v1/datasets/live/"+op, body, http.StatusOK), &dr); err != nil {
+						b.Fatal(err)
+					}
+					dirty = max(dirty, dr.DirtyShards)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(2*b.N), "ms/delta")
+			b.ReportMetric(float64(dirty), "dirty-shards")
+		})
+	}
 }

@@ -244,18 +244,11 @@ func (s *Server) snapshotFromFile(f *snapfile.Snapshot) *snapshot {
 // the persisted options. The republish determinism guarantee (Apply ≡
 // from-scratch anonymize, byte for byte) is what makes this sound: the
 // rebuilt state describes exactly the publication the snapshot file holds.
-func (s *Server) rehydrate(sn *snapshot) (*core.RepubState, []*query.EstimatorPart, error) {
+func (s *Server) rehydrate(sn *snapshot) (*core.RepubState, error) {
 	d, err := sn.original()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	a, st, err := core.AnonymizeWithState(d, sn.opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	parts := make([]*query.EstimatorPart, st.NumShards())
-	for i := range parts {
-		parts[i] = query.BuildEstimatorPart(a.K, a.M, st.ShardClusters(i))
-	}
-	return st, parts, nil
+	_, st, err := core.AnonymizeWithState(d, sn.opts)
+	return st, err
 }

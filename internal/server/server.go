@@ -126,10 +126,10 @@ type snapshot struct {
 	// state is the retained delta-republish state; nil for streamed publishes
 	// (the streaming engine does not keep records, so such snapshots cannot
 	// accept deltas) and for recovered snapshots, which rehydrate it from the
-	// persisted original on their first delta. parts are the per-shard
-	// estimator segments the next delta splices clean shards from.
+	// persisted original on their first delta. It carries no serving state:
+	// every published or delta snapshot builds its index and estimator in
+	// full (newSnapshot), and a recovered one reads them from its file.
 	state *core.RepubState
-	parts []*query.EstimatorPart
 	// cache memoizes support estimates for this snapshot only (nil when
 	// disabled). It is a mutable field, internally synchronized, and
 	// provably transparent: estimates are a pure function of the immutable
@@ -237,10 +237,10 @@ type MetricsResponse struct {
 
 // DeltaResponse is the body answering a successful append or remove: the new
 // snapshot's info plus what the republish actually recomputed. DirtyShards out
-// of TotalShards were re-anonymized (and had their index/estimator segments
-// rebuilt); ReplannedShards of those had their plan subtree rebuilt in place
-// because the delta flipped a shard-boundary decision; FullRepublish reports
-// the fallback for boundary shifts replanning could not absorb.
+// of TotalShards were re-anonymized; ReplannedShards of those had their plan
+// subtree rebuilt in place because the delta flipped a shard-boundary
+// decision; FullRepublish reports the fallback for boundary shifts
+// replanning could not absorb.
 type DeltaResponse struct {
 	DatasetInfo
 	Appended        int  `json:"appended"`
@@ -538,8 +538,7 @@ func (s *Server) publishError(w http.ResponseWriter, err error) {
 
 // publishInMemory runs the standard pipeline with retained delta-republish
 // state (the published bytes are identical to a plain Anonymize), keeping the
-// original for the metrics endpoint and the per-shard estimator parts for the
-// next delta to splice from.
+// original for the metrics endpoint and the state for the next delta.
 func (s *Server) publishInMemory(name string, body io.Reader, opts core.Options) (*snapshot, error) {
 	d, err := dataset.ReadIDs(body)
 	if err != nil {
@@ -549,37 +548,7 @@ func (s *Server) publishInMemory(name string, body io.Reader, opts core.Options)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*query.EstimatorPart, st.NumShards())
-	for i := range parts {
-		parts[i] = query.BuildEstimatorPart(a.K, a.M, st.ShardClusters(i))
-	}
-	sn := newStateSnapshot(name, a, st, parts, d, opts, s.opts.SupportCacheEntries)
-	sn.info.ShardRecords = opts.MaxShardRecords
-	return sn, nil
-}
-
-// newStateSnapshot builds a snapshot whose estimator is assembled from
-// per-shard parts — bit-identical to a full build — and that carries the
-// delta-republish state for append/remove to continue from.
-func newStateSnapshot(name string, a *core.Anonymized, st *core.RepubState, parts []*query.EstimatorPart, original *dataset.Dataset, opts core.Options, cacheEntries int) *snapshot {
-	sum := a.Stats()
-	return &snapshot{
-		cache: newSupportCache(cacheEntries),
-		audit: newAuditCell(),
-		info: DatasetInfo{
-			Name: name, K: a.K, M: a.M,
-			Records:  sum.Records,
-			Terms:    sum.DistinctTerms,
-			Clusters: len(a.Clusters),
-		},
-		anon:     a,
-		est:      query.NewEstimatorFromParts(a, parts),
-		summary:  sum,
-		opts:     opts,
-		original: func() (*dataset.Dataset, error) { return original, nil },
-		state:    st,
-		parts:    parts,
-	}
+	return newSnapshot(name, a, st, d, opts, s.opts.SupportCacheEntries), nil
 }
 
 // publishStreamed runs the sharded streaming engine: the upload is
@@ -620,17 +589,21 @@ func (s *Server) publishStreamed(name string, body io.Reader, opts core.Options,
 	if err != nil {
 		return nil, internalError{fmt.Errorf("re-reading streamed publication: %w", err)}
 	}
-	sn := newSnapshot(name, a, true, opts, s.opts.SupportCacheEntries)
+	sn := newSnapshot(name, a, nil, nil, opts, s.opts.SupportCacheEntries)
+	sn.info.Streamed = true
 	sn.info.ShardRecords = st.ShardRecords
 	return sn, nil
 }
 
-// newSnapshot builds the immutable serving state — summary, inverted index
-// and estimator — plus the snapshot's own (empty) support cache.
-func newSnapshot(name string, a *core.Anonymized, streamed bool, opts core.Options, cacheEntries int) *snapshot {
-	est := query.NewEstimator(a)
+// newSnapshot builds the immutable serving state of a publication — summary,
+// inverted index and estimator, each built in full — plus the snapshot's own
+// empty support cache and audit cell. st and original are the retained
+// delta-republish state and the original records of an in-memory publish or
+// delta; the info then reports the state's effective shard cut. A streamed
+// publish passes nil for both and fills in Streamed and its cut itself.
+func newSnapshot(name string, a *core.Anonymized, st *core.RepubState, original *dataset.Dataset, opts core.Options, cacheEntries int) *snapshot {
 	sum := a.Stats()
-	return &snapshot{
+	sn := &snapshot{
 		cache: newSupportCache(cacheEntries),
 		audit: newAuditCell(),
 		info: DatasetInfo{
@@ -638,13 +611,20 @@ func newSnapshot(name string, a *core.Anonymized, streamed bool, opts core.Optio
 			Records:  sum.Records,
 			Terms:    sum.DistinctTerms,
 			Clusters: len(a.Clusters),
-			Streamed: streamed,
 		},
 		anon:    a,
-		est:     est,
+		est:     query.NewEstimator(a),
 		summary: sum,
 		opts:    opts,
+		state:   st,
 	}
+	if st != nil {
+		sn.info.ShardRecords = st.Options().MaxShardRecords
+	}
+	if original != nil {
+		sn.original = func() (*dataset.Dataset, error) { return original, nil }
+	}
+	return sn
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -684,10 +664,10 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDelta is the shared append/remove implementation: an incremental
-// republish that re-anonymizes only the shards the delta touches, rebuilds
-// the index/estimator segments of those shards alone, and installs the result
-// as a new immutable snapshot version. Reads racing the delta keep serving
-// the old version; the per-name lock only serializes mutators.
+// republish that re-anonymizes only the shards the delta touches, builds the
+// new version's index and estimator, and installs the result as a new
+// immutable snapshot version. Reads racing the delta keep serving the old
+// version; the per-name lock only serializes mutators.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, remove bool) {
 	name := r.PathValue("name")
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
@@ -720,19 +700,17 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, remove bool
 			"dataset %q was published via the streaming engine; the records needed for delta republish were not retained (republish it non-streamed to enable append/remove)", name)
 		return
 	}
-	state, parts := sn.state, sn.parts
+	state := sn.state
 	if state == nil {
 		// A recovered snapshot carries the original records but not the live
-		// republish state (sharding plans, per-shard indexes). Rehydrate it
+		// republish state (the shard plan and its shards). Rehydrate it
 		// once by re-running the stateful pipeline over the persisted
 		// original with the persisted options — byte-identical to the
 		// pre-restart publication by the delta-republish determinism
 		// guarantee — then apply the delta to it as usual. This is the one
 		// place recovery pays anonymization cost, and only on the first
 		// mutation of a recovered name, never on the read path.
-		var err error
-		state, parts, err = s.rehydrate(sn)
-		if err != nil {
+		if state, err = s.rehydrate(sn); err != nil {
 			s.logf("disassod: rehydrating republish state of %q: %v", name, err)
 			s.writeError(w, http.StatusInternalServerError, "rehydrating republish state: %v", err)
 			return
@@ -748,23 +726,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, remove bool
 		return
 	}
 
-	// Estimator parts: rebuild only the dirty shards' segments, splice every
-	// clean shard's part straight through (clean shards share their published
-	// nodes with the old snapshot, so the old parts describe them exactly).
-	var nextParts []*query.EstimatorPart
-	if stats.FullRepublish {
-		nextParts = make([]*query.EstimatorPart, st.NumShards())
-		for i := range nextParts {
-			nextParts[i] = query.BuildEstimatorPart(a.K, a.M, st.ShardClusters(i))
-		}
-	} else {
-		nextParts = slices.Clone(parts)
-		for _, si := range stats.Dirty {
-			nextParts[si] = query.BuildEstimatorPart(a.K, a.M, st.ShardClusters(si))
-		}
-	}
-	next := newStateSnapshot(name, a, st, nextParts, dataset.FromRecords(st.Records()), sn.opts, s.opts.SupportCacheEntries)
-	next.info.ShardRecords = sn.info.ShardRecords
+	next := newSnapshot(name, a, st, dataset.FromRecords(st.Records()), sn.opts, s.opts.SupportCacheEntries)
 	next.info.Version = sn.info.Version + 1
 
 	if err := s.persist(next); err != nil {

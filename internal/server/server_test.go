@@ -293,7 +293,7 @@ func TestServerStreamedPublishInternalError(t *testing.T) {
 // conflicts, caps and oversized bodies.
 func TestServerValidation(t *testing.T) {
 	text, _ := testDataset(t, 1, 60, 10, 3)
-	srv := httptest.NewServer(New(Options{MaxBodyBytes: 1 << 20, MaxReconstructions: 4}))
+	srv := httptest.NewServer(New(Options{MaxBodyBytes: 1 << 20, MaxReconstructions: 4, TempDir: t.TempDir()}))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -329,11 +329,17 @@ func TestServerValidation(t *testing.T) {
 	do(t, client, "GET", srv.URL+"/v1/datasets/ds/metrics?lo=-9000000000000000000&hi=9000000000000000000", "", http.StatusBadRequest, nil)
 	do(t, client, "GET", srv.URL+"/v1/datasets/ds/metrics?lo=10&hi=2", "", http.StatusBadRequest, nil)
 
-	// An explicit in-memory shard cut is reported back like a streamed one.
-	var cut DatasetInfo
-	do(t, client, "POST", srv.URL+"/v1/datasets/cut?k=3&m=2&shardrecords=40", text, http.StatusCreated, &cut)
-	if cut.ShardRecords != 40 {
-		t.Errorf("explicit shardrecords=40 reported as %d", cut.ShardRecords)
+	// Both paths report the effective shard cut: an explicit cut below the
+	// cluster-size cap (30 by default) is raised to it.
+	for _, c := range []struct{ query, want int }{{40, 40}, {5, 30}} {
+		for _, path := range []string{"", "&stream=1"} {
+			var cut DatasetInfo
+			url := fmt.Sprintf("%s/v1/datasets/cut?k=3&m=2&replace=1&shardrecords=%d%s", srv.URL, c.query, path)
+			do(t, client, "POST", url, text, http.StatusCreated, &cut)
+			if cut.ShardRecords != c.want {
+				t.Errorf("shardrecords=%d%s reported as %d, want %d", c.query, path, cut.ShardRecords, c.want)
+			}
+		}
 	}
 	do(t, client, "DELETE", srv.URL+"/v1/datasets/ghost", "", http.StatusNotFound, nil)
 	do(t, client, "GET", srv.URL+"/v1/datasets/ghost/metrics", "", http.StatusNotFound, nil)

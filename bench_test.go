@@ -349,11 +349,7 @@ func BenchmarkDeltaRepublish(b *testing.B) {
 // serving workload of Section 6 / the disassod service.
 func benchQueryWorkload(b *testing.B) (*core.Anonymized, []dataset.Record) {
 	b.Helper()
-	d := benchDataset(b)
-	a, err := core.Anonymize(d, core.Options{K: 5, M: 2, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, a := benchPublication(b)
 	rng := rand.New(rand.NewPCG(17, 18))
 	var queries []dataset.Record
 	for i := 0; i < 256; i++ {
@@ -365,6 +361,56 @@ func benchQueryWorkload(b *testing.B) (*core.Anonymized, []dataset.Record) {
 		queries = append(queries, dataset.NewRecord(terms...))
 	}
 	return a, queries
+}
+
+// benchPublication returns benchDataset and its anonymization at k=5, m=2:
+// 1,626 leaves in 529 top-level clusters, the widest joint 208 leaves.
+func benchPublication(b *testing.B) (*dataset.Dataset, *core.Anonymized) {
+	b.Helper()
+	d := benchDataset(b)
+	a, err := core.Anonymize(d, core.Options{K: 5, M: 2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, a
+}
+
+// BenchmarkSupportWide serves 2–3-term itemsets drawn from random original
+// records, the read-wide workload's shape. Their terms co-occur, so each
+// itemset reaches the joint clusters holding its record; the uniform terms
+// of BenchmarkSupportIndexed rarely do. warm times the indexed evaluation of
+// one itemset; cold times NewRecoveredEstimator plus its first multi-term
+// itemset, which pays the lazy per-node build a recovered snapshot defers.
+func BenchmarkSupportWide(b *testing.B) {
+	d, a := benchPublication(b)
+	rng := rand.New(rand.NewPCG(19, 20))
+	itemsets := make([]dataset.Record, 0, 256)
+	for len(itemsets) < cap(itemsets) {
+		r := d.Records[rng.IntN(len(d.Records))]
+		if len(r) < 2 {
+			continue
+		}
+		n := min(2+rng.IntN(2), len(r))
+		terms := make([]dataset.Term, 0, n)
+		for _, i := range rng.Perm(len(r))[:n] {
+			terms = append(terms, r[i])
+		}
+		itemsets = append(itemsets, dataset.NewRecord(terms...))
+	}
+	est := query.NewEstimator(a)
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			est.Support(itemsets[i%len(itemsets)])
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rec := query.NewRecoveredEstimator(a, est.Index(), est.Singles())
+			rec.Support(itemsets[i%len(itemsets)])
+		}
+	})
 }
 
 // BenchmarkSupportScan is the baseline: every query walks every cluster.

@@ -29,13 +29,13 @@ var supportViaScan = supportViaScanDefault
 type Estimator struct {
 	a          *core.Anonymized
 	ix         *qindex.Index
-	nodes      []*nodeIndex // per top-level cluster: spans + chunk postings
-	singles    []Estimate   // rank -> Support(a, {term})
+	nodes      *nodeIndex // node-level term index of the multi-term path
+	singles    []Estimate // rank -> Support(a, {term})
 	numRecords int
 
 	// lazyNodes defers building nodes until the first multi-term query — the
 	// snapshot-recovery mode, where the index slabs and singleton table come
-	// straight off the snapshot file and rebuilding per-cluster chunk postings
+	// straight off the snapshot file and rebuilding the node-level term index
 	// up front would turn an O(1) restart back into an O(dataset) reindex.
 	// Singleton queries (the common case) never trigger the build.
 	lazyNodes bool
@@ -49,7 +49,7 @@ func NewEstimator(a *core.Anonymized) *Estimator {
 	return &Estimator{
 		a:          a,
 		ix:         ix,
-		nodes:      buildNodeIndexes(a),
+		nodes:      buildNodeIndex(a, ix),
 		singles:    computeSingles(a, ix),
 		numRecords: a.NumRecords(),
 	}
@@ -58,8 +58,8 @@ func NewEstimator(a *core.Anonymized) *Estimator {
 // NewRecoveredEstimator builds an estimator over serving state recovered
 // from a persisted snapshot: a decoded publication, an index whose slabs may
 // be zero-copy views over a file mapping, and the persisted singleton
-// estimate table (rank order, as Singles returns). The per-cluster chunk
-// postings are rebuilt lazily on the first multi-term query, so recovery
+// estimate table (rank order, as Singles returns). The node-level term
+// index is rebuilt lazily on the first multi-term query, so recovery
 // itself performs no index construction. The estimates are identical to
 // NewEstimator(a)'s: the singleton table is the one the original estimator
 // computed, and the multi-term path runs the same indexed evaluation over
@@ -74,22 +74,13 @@ func NewRecoveredEstimator(a *core.Anonymized, ix *qindex.Index, singles []Estim
 	}
 }
 
-// nodeIndexes returns the per-cluster chunk postings, building them on first
-// use for recovered estimators. Safe for concurrent callers.
-func (e *Estimator) nodeIndexes() []*nodeIndex {
+// loadNodes returns the node-level term index, building it on first use
+// for recovered estimators. Safe for concurrent callers.
+func (e *Estimator) loadNodes() *nodeIndex {
 	if e.lazyNodes {
-		e.nodesOnce.Do(func() { e.nodes = buildNodeIndexes(e.a) })
+		e.nodesOnce.Do(func() { e.nodes = buildNodeIndex(e.a, e.ix) })
 	}
 	return e.nodes
-}
-
-// buildNodeIndexes builds the chunk postings of every top-level cluster.
-func buildNodeIndexes(a *core.Anonymized) []*nodeIndex {
-	nodes := make([]*nodeIndex, len(a.Clusters))
-	for i, n := range a.Clusters {
-		nodes[i] = buildNodeIndex(n)
-	}
-	return nodes
 }
 
 // Index returns the underlying inverted index.
@@ -122,9 +113,14 @@ func (e *Estimator) Support(s dataset.Record) Estimate {
 		}
 		return est
 	}
-	nodes := e.nodeIndexes()
+	q := e.loadNodes().newEval(e.ix, s)
 	for _, ci := range e.ix.IntersectClusters(nil, s) {
-		o := estimateNodeIx(e.a.Clusters[ci], nodes[ci], s)
+		var o Estimate
+		if n := e.a.Clusters[ci]; n.IsLeaf() {
+			o = estimateNode(n, s) // no tree to walk; see indexed_eval.go
+		} else {
+			o = q.cluster(ci)
+		}
 		est.Lower += o.Lower
 		est.Upper += o.Upper
 		est.Expected += o.Expected

@@ -2,10 +2,13 @@ package query
 
 import (
 	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 
 	"disasso/internal/core"
 	"disasso/internal/dataset"
+	"disasso/internal/quest"
 )
 
 // forceIndexed runs fn with the scan-fallback hook off so the indexed path
@@ -142,45 +145,190 @@ func TestEstimatorScanHook(t *testing.T) {
 	}
 }
 
-// Estimator on joint-heavy output: force small clusters so REFINE builds
-// deep joints, and require exact agreement (exercises the shared-chunk
-// stack of the singleton precomputation).
-func TestEstimatorMatchesScanOnJointHeavyForest(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 32))
-	var records []dataset.Record
-	// Correlated pairs so REFINE has refining terms to share.
-	for i := 0; i < 800; i++ {
-		base := dataset.Term(rng.IntN(8) * 2)
-		extra := dataset.Term(16 + rng.IntN(12))
-		records = append(records, dataset.NewRecord(base, base+1, extra))
-	}
-	a, err := core.Anonymize(dataset.FromRecords(records), core.Options{K: 2, M: 2, MaxClusterSize: 6, Seed: 9})
+// jointHeavyPublication anonymizes 5k Quest records (5k-term domain,
+// average length 10, Quest seed 1) at k=5, m=2, seed 1. REFINE nests them
+// into joints far wider and deeper than the random forests above reach: the
+// largest holds 103 leaves, 12 levels deep. The input is fixed, so a
+// shallower forest means the fixture broke, not that there is nothing to
+// test.
+func jointHeavyPublication(t *testing.T) (*dataset.Dataset, *core.Anonymized) {
+	t.Helper()
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions = 5_000
+	g, err := quest.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joints := 0
+	d := g.Generate()
+	a, err := core.Anonymize(d, core.Options{K: 5, M: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	widest, deepest := 0, 0
 	for _, n := range a.Clusters {
-		n.Walk(func(cn *core.ClusterNode) {
-			if !cn.IsLeaf() {
-				joints++
-			}
-		})
+		widest = max(widest, len(n.Leaves(nil)))
+		deepest = max(deepest, depth(n))
 	}
-	if joints == 0 {
-		t.Skip("workload produced no joint clusters; nothing joint-specific to test")
+	if widest < 100 || deepest < 12 {
+		t.Fatalf("largest joint has %d leaves and depth %d, want at least 100 and 12", widest, deepest)
 	}
-	est := NewEstimator(a)
-	forceIndexed(t, func() {
-		for term := dataset.Term(0); term < 28; term++ {
-			if got, want := est.Support(dataset.NewRecord(term)), Support(a, dataset.NewRecord(term)); got != want {
-				t.Fatalf("term %d: indexed %+v != scan %+v", term, got, want)
-			}
+	return d, a
+}
+
+func depth(n *core.ClusterNode) int {
+	d := 0
+	for _, c := range n.Children {
+		d = max(d, depth(c))
+	}
+	return d + 1
+}
+
+// drawTerms returns n distinct terms of pool (n ≤ len(pool)), normalized.
+func drawTerms(rng *rand.Rand, pool []dataset.Term, n int) dataset.Record {
+	terms := make([]dataset.Term, 0, n)
+	for _, i := range rng.Perm(len(pool))[:n] {
+		terms = append(terms, pool[i])
+	}
+	return dataset.NewRecord(terms...)
+}
+
+// Estimator on joint-heavy output: every itemset shape the node-level term
+// index treats differently must match the scan bit for bit, on the eager
+// estimator and on one recovered from its index and singleton table (which
+// builds the node index lazily).
+func TestEstimatorMatchesScanOnJointHeavyForest(t *testing.T) {
+	d, a := jointHeavyPublication(t)
+	rng := rand.New(rand.NewPCG(31, 32))
+	var itemsets []dataset.Record
+	// 2–3-term itemsets drawn from records, the read workloads' shape.
+	for len(itemsets) < 300 {
+		r := d.Records[rng.IntN(len(d.Records))]
+		if len(r) >= 2 {
+			itemsets = append(itemsets, drawTerms(rng, r, min(2+rng.IntN(2), len(r))))
 		}
-		for trial := 0; trial < 200; trial++ {
-			s := dataset.NewRecord(dataset.Term(rng.IntN(28)), dataset.Term(rng.IntN(28)), dataset.Term(rng.IntN(28)))
-			if got, want := est.Support(s), Support(a, s); got != want {
+	}
+	// 9–16 terms, from one record or from the published domain of one
+	// top-level cluster, so the whole itemset can meet in one cluster.
+	for len(itemsets) < 360 {
+		n := 9 + rng.IntN(8)
+		if r := d.Records[rng.IntN(len(d.Records))]; len(r) >= n {
+			itemsets = append(itemsets, drawTerms(rng, r, n))
+		}
+		if pool := clusterTerms(a.Clusters[rng.IntN(len(a.Clusters))]); len(pool) >= n {
+			itemsets = append(itemsets, drawTerms(rng, pool, n))
+		}
+	}
+	// One term absent from the publication.
+	for i := 0; i < 20; i++ {
+		itemsets = append(itemsets, itemsets[i].Union(dataset.Record{1 << 20}))
+	}
+	// Every singleton, and one absent term.
+	for term := dataset.Term(0); term <= 5_000; term++ {
+		itemsets = append(itemsets, dataset.Record{term})
+	}
+
+	est := NewEstimator(a)
+	rec := NewRecoveredEstimator(a, est.Index(), est.Singles())
+	forceIndexed(t, func() {
+		for _, s := range itemsets {
+			want := Support(a, s)
+			if got := est.Support(s); got != want {
 				t.Fatalf("itemset %v: indexed %+v != scan %+v", s, got, want)
+			}
+			if got := rec.Support(s); got != want {
+				t.Fatalf("itemset %v: recovered %+v != scan %+v", s, got, want)
 			}
 		}
 	})
+}
+
+// clusterTerms returns every term published in the node's chunks, sorted.
+func clusterTerms(n *core.ClusterNode) []dataset.Term {
+	var all dataset.Record
+	n.Walk(func(cn *core.ClusterNode) {
+		if cn.IsLeaf() {
+			for _, c := range cn.Simple.RecordChunks {
+				all = all.Union(c.Domain)
+			}
+			all = all.Union(cn.Simple.TermChunk)
+			return
+		}
+		for _, c := range cn.SharedChunks {
+			all = all.Union(c.Domain)
+		}
+	})
+	return all
+}
+
+// The first multi-term queries of a recovered estimator race its lazy
+// node-index build: 8 goroutines query one fresh estimator at once, and
+// every answer must equal the eager estimator's.
+func TestRecoveredEstimatorConcurrentFirstQueries(t *testing.T) {
+	d, a := jointHeavyPublication(t)
+	est := NewEstimator(a)
+	rng := rand.New(rand.NewPCG(41, 42))
+	itemsets := make([]dataset.Record, 0, 64)
+	for len(itemsets) < cap(itemsets) {
+		if r := d.Records[rng.IntN(len(d.Records))]; len(r) >= 2 {
+			itemsets = append(itemsets, drawTerms(rng, r, min(2+rng.IntN(2), len(r))))
+		}
+	}
+	want := make([]Estimate, len(itemsets))
+	forceIndexed(t, func() {
+		for i, s := range itemsets {
+			want[i] = est.Support(s)
+		}
+		rec := NewRecoveredEstimator(a, est.Index(), est.Singles())
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := range itemsets {
+					j := (i + g*len(itemsets)/8) % len(itemsets)
+					if got := rec.Support(itemsets[j]); got != want[j] {
+						t.Errorf("goroutine %d itemset %v: recovered %+v != eager %+v", g, itemsets[j], got, want[j])
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	})
+}
+
+// rankTable must agree with a binary search over the domain for dense,
+// sparse and negative term ids, including both ends of the int32 range.
+func TestRankTableMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(51, 52))
+	domains := [][]dataset.Term{
+		nil,
+		{7},
+		{0, 1, 2, 3, 5, 8, 9, 10},
+		{-1 << 31, -5, 0, 3, 1<<31 - 1},
+	}
+	sparse := make([]dataset.Term, 300)
+	for i := range sparse {
+		sparse[i] = dataset.Term(rng.Int32N(1<<30) - 1<<29)
+	}
+	domains = append(domains, dataset.NewRecord(sparse...), dataset.NewRecord(append(sparse, 1<<31-1)...))
+	for _, d := range domains {
+		rt := newRankTable(d)
+		var probes dataset.Record
+		for _, t := range d {
+			probes = append(probes, t, t-1, t+1)
+		}
+		probes = append(probes, -1<<31, 1<<31-1, 0)
+		for _, p := range probes {
+			want := int32(-1)
+			if r, ok := slices.BinarySearch(d, p); ok {
+				want = int32(r)
+			}
+			if got := rt.rank(p); got != want {
+				t.Fatalf("domain %v: rank of %d = %d, want %d", d, p, got, want)
+			}
+		}
+	}
 }

@@ -22,7 +22,12 @@ import (
 // shard-keyed PRNG streams — and the untouched shards' published nodes are
 // spliced through unchanged. A changed decision replans only its subtree;
 // when that changes the subtree's shard count, the engine falls back to a
-// full from-scratch republish.
+// full from-scratch republish. Inside a replanted subtree, a new leaf whose
+// insertion seqs and split-path set equal those of the old leaf at the same
+// index keeps the old shard and its published nodes: runShard's output is a
+// function of exactly those inputs (the seqs fix the records and their
+// order, the path set the barred terms, the index the PRNG streams) and the
+// options, so re-running it would reproduce the same bytes.
 //
 // Two proven invariances make the dirty-shard re-run exact:
 //
@@ -69,12 +74,15 @@ type Delta struct {
 type RepublishStats struct {
 	Appended, Removed int
 	// DirtyShards of TotalShards were re-anonymized; Dirty lists their
-	// indexes in ascending order.
+	// indexes in ascending order. A dirty shard is a changed one: its
+	// records or its split-path set differ from the old shard at its index.
+	// A shard that comes back unchanged is not dirty, even inside a
+	// replanted subtree.
 	DirtyShards, TotalShards int
 	Dirty                    []int
-	// ReplannedShards counts the dirty shards whose plan subtree was rebuilt
-	// because the delta flipped a shardCut decision — churn the engine
-	// absorbed locally instead of falling back to a full republish.
+	// ReplannedShards counts the dirty shards inside a plan subtree that was
+	// rebuilt because the delta flipped a shardCut decision — churn the
+	// engine absorbed locally instead of falling back to a full republish.
 	ReplannedShards int
 	// FullRepublish is set when the engine ran from scratch: either the delta
 	// moved a shard-plan boundary, or the republish_scratch hook forced it.
@@ -448,6 +456,18 @@ func applyWithSeq(records []dataset.Record, seq []uint64, removes []dataset.Reco
 	return outR, outS, nil
 }
 
+// samePathSet reports whether two split paths consumed the same terms, in
+// any order: runShard reads a path only as a set of barred terms.
+func samePathSet(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
+}
+
 // nodeDelta accumulates the routing pass's effect on one plan node.
 type nodeDelta struct {
 	dn      int
@@ -540,7 +560,8 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 	// are merged back into insertion (seq) order, the subtree's slice of the
 	// delta is applied, and the planner reruns over the result from the
 	// node's updated counts. Preorder numbering makes the old leaves a
-	// contiguous index range; the new leaves must fill the same range. A
+	// contiguous index range; the new leaves must fill the same range, and
+	// only those that differ from the old leaf at their index are dirty. A
 	// touched leaf is replanted too: the planner recounts it only if the
 	// delta grew it past the cut, and a leaf that must now split changes
 	// the shard count.
@@ -574,8 +595,12 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 			return nil, errShardShift
 		}
 		for i, l := range p.leaves {
-			ns.shards[lo+i] = newRepubShard(l)
-			dirty = append(dirty, lo+i)
+			si := lo + i
+			if old := st.shards[si]; slices.Equal(old.seq, l.Source.seq) && samePathSet(old.path, l.Path) {
+				continue // runShard would reproduce old.published: keep the shard
+			}
+			ns.shards[si] = newRepubShard(l)
+			dirty = append(dirty, si)
 		}
 		return nd, nil
 	}

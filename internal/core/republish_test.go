@@ -5,10 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"disasso/internal/dataset"
+	"disasso/internal/quest"
 )
 
 // republishConfigs are the equivalence-test configurations: varied K/M,
@@ -384,4 +387,67 @@ func TestDeltaAppendedTermTieBreak(t *testing.T) {
 				step+1, stats.DirtyShards, stats.TotalShards, stats.ReplannedShards, stats.FullRepublish)
 		}
 	}
+}
+
+// TestDeltaReplantKeepsUnchangedShards pins the reuse rule of a replant: a
+// rebuilt subtree's leaf whose records and split-path set equal the old leaf
+// at its index keeps the old shard, published nodes included. On a Quest
+// fixture (3k records, 5k-term domain, cut 300: a lopsided chain of 128
+// shards) a 20-record append and its removal each flip a chain decision
+// whose subtree holds most of the shards, and fewer than two thirds of those
+// change. After each, every dirty shard must differ from the old one at its
+// index, every other shard must be the old state's, and the bytes must equal
+// a from-scratch republish.
+func TestDeltaReplantKeepsUnchangedShards(t *testing.T) {
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions, cfg.DomainSize, cfg.AvgTransLen, cfg.Seed = 3_020, 5_000, 10, 1
+	g, err := quest.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := g.Generate().Records
+	published, held := all[:3_000], all[3_000:]
+	opts := Options{K: 5, M: 2, MaxShardRecords: 300, Seed: 1, Parallel: 2}
+	_, st, err := AnonymizeWithState(dataset.FromRecords(published), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, delta := range []Delta{{Append: held}, {Remove: held}} {
+		anon, next, stats, err := st.applyDelta(delta)
+		if err != nil {
+			t.Fatalf("delta (%d appended, %d removed): %v", len(delta.Append), len(delta.Remove), err)
+		}
+		if stats.ReplannedShards == 0 || len(next.shards) != len(st.shards) {
+			t.Fatalf("fixture no longer replants a flipped subtree: replanned %d, shards %d -> %d",
+				stats.ReplannedShards, len(st.shards), len(next.shards))
+		}
+		dirty := make(map[int]bool, len(stats.Dirty))
+		for _, si := range stats.Dirty {
+			dirty[si] = true
+			old, sh := st.shards[si], next.shards[si]
+			if slices.Equal(old.seq, sh.seq) && pathSetOf(old.path) == pathSetOf(sh.path) {
+				t.Errorf("shard %d is dirty but has the old records and split-path set", si)
+			}
+		}
+		for si, sh := range next.shards {
+			if !dirty[si] && sh != st.shards[si] {
+				t.Errorf("clean shard %d does not share the old state's shard", si)
+			}
+		}
+		scratch, _, _, err := st.applyScratch(delta, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeAnonymized(t, anon), encodeAnonymized(t, scratch)) {
+			t.Fatalf("delta republish differs from scratch (dirty %d/%d, replanned %d)",
+				stats.DirtyShards, stats.TotalShards, stats.ReplannedShards)
+		}
+		t.Logf("dirty %d/%d, replanned %d", stats.DirtyShards, stats.TotalShards, stats.ReplannedShards)
+		st = next
+	}
+}
+
+// pathSetOf renders a split path as its sorted term-index set.
+func pathSetOf(path []int32) string {
+	return fmt.Sprint(slices.Sorted(slices.Values(path)))
 }

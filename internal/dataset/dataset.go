@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -168,14 +169,14 @@ func (r Record) Jaccard(other Record) float64 {
 // Key returns a compact string form of the record usable as a map key. Two
 // normalized records have equal keys iff they are Equal.
 func (r Record) Key() string {
-	var b strings.Builder
+	b := make([]byte, 0, 8*len(r))
 	for i, t := range r {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", t)
+		b = strconv.AppendInt(b, int64(t), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the record as a braced term list, e.g. {3, 17, 42}.

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -129,6 +130,24 @@ func TestRecordKeyUniqueness(t *testing.T) {
 	}
 	if a.Key() != NewRecord(23, 1).Key() {
 		t.Error("equal records must have equal keys")
+	}
+}
+
+// Key's text is pinned: delta removals match records by it.
+func TestRecordKeyFormat(t *testing.T) {
+	tests := []struct {
+		r    Record
+		want string
+	}{
+		{Record{}, ""},
+		{Record{5}, "5"},
+		{Record{-3, 0, 7}, "-3,0,7"},
+		{Record{math.MinInt32, math.MaxInt32}, "-2147483648,2147483647"},
+	}
+	for _, tc := range tests {
+		if got := tc.r.Key(); got != tc.want {
+			t.Errorf("%v.Key() = %q, want %q", tc.r, got, tc.want)
+		}
 	}
 }
 

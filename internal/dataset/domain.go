@@ -10,8 +10,16 @@ import "slices"
 // on the published output is byte-identical to a run over the original terms —
 // while every per-term table inside the pipeline becomes a flat slice indexed
 // by the id instead of a map keyed by the term.
+//
+// A lookup does not search the whole domain. Terms are bucketed by their
+// offset from the smallest one, with at most as many buckets as terms, and a
+// lookup searches only its bucket. Term ids are dense in practice, so a
+// bucket holds an id or two; sparse ids degrade to a whole-domain search.
 type DenseDomain struct {
-	terms []Term // dense id -> global term, ascending
+	terms []Term  // dense id -> global term, ascending
+	lo    int64   // the smallest term
+	shift uint    // bucket of t: (t - lo) >> shift
+	first []int32 // bucket -> its first id; the last entry is len(terms)
 }
 
 // NewDenseDomain collects the distinct terms of the records into a domain.
@@ -25,27 +33,70 @@ func NewDenseDomain(records []Record) *DenseDomain {
 		all = append(all, r...)
 	}
 	slices.Sort(all)
-	return &DenseDomain{terms: slices.Compact(all)}
+	return newDenseDomain(slices.Compact(all))
 }
 
 // NewDenseDomainFromTerms wraps an already sorted, duplicate-free term list
-// (e.g. the keys of a streamed support count) into a domain, taking ownership
-// of the slice.
+// (e.g. the keys of a streamed support count, or a term slab mapped from a
+// snapshot file) into a domain without copying it. The domain reads the
+// slice and never writes it.
 func NewDenseDomainFromTerms(terms []Term) *DenseDomain {
 	if !Record(terms).IsNormalized() {
 		panic("dataset: NewDenseDomainFromTerms needs sorted, duplicate-free terms")
 	}
-	return &DenseDomain{terms: terms}
+	return newDenseDomain(terms)
+}
+
+// newDenseDomain builds the bucket table over sorted, duplicate-free terms.
+func newDenseDomain(terms []Term) *DenseDomain {
+	dd := &DenseDomain{terms: terms}
+	if len(terms) == 0 {
+		return dd
+	}
+	dd.lo = int64(terms[0])
+	span := int64(terms[len(terms)-1]) - dd.lo
+	for span>>dd.shift >= int64(len(terms)) {
+		dd.shift++
+	}
+	dd.first = make([]int32, span>>dd.shift+2)
+	id := 0
+	for b := range dd.first {
+		for id < len(terms) && (int64(terms[id])-dd.lo)>>dd.shift < int64(b) {
+			id++
+		}
+		dd.first[b] = int32(id)
+	}
+	return dd
 }
 
 // Len returns the domain size |T|.
 func (dd *DenseDomain) Len() int { return len(dd.terms) }
 
+// Terms returns the domain's terms in id order. Callers must not modify the
+// returned slice.
+func (dd *DenseDomain) Terms() []Term { return dd.terms }
+
 // ID returns the dense id of a global term and whether the term is in the
 // domain.
 func (dd *DenseDomain) ID(t Term) (int32, bool) {
-	i, ok := slices.BinarySearch(dd.terms, t)
-	return int32(i), ok
+	off := int64(t) - dd.lo
+	if off < 0 || off>>dd.shift >= int64(len(dd.first)-1) {
+		return 0, false
+	}
+	b := off >> dd.shift
+	lo, hi := dd.first[b], dd.first[b+1]
+	for lo < hi {
+		h := int32(uint32(lo+hi) >> 1)
+		if dd.terms[h] < t {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo < dd.first[b+1] && dd.terms[lo] == t {
+		return lo, true
+	}
+	return 0, false
 }
 
 // TermOf returns the global term behind a dense id.
@@ -64,7 +115,7 @@ func (dd *DenseDomain) RemapAll(records []Record) []Record {
 	for i, r := range records {
 		start := len(flat)
 		for _, t := range r {
-			id, ok := slices.BinarySearch(dd.terms, t)
+			id, ok := dd.ID(t)
 			if !ok {
 				panic("dataset: RemapAll term outside domain")
 			}

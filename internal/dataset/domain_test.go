@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -56,4 +58,54 @@ func TestDenseDomainIDsAscend(t *testing.T) {
 	if _, ok := dd.ID(8); ok {
 		t.Fatal("ID reported a term outside the domain")
 	}
+}
+
+// ID must agree with a binary search over the domain for dense, sparse and
+// negative term ids, including both ends of the int32 range.
+func TestDenseDomainIDMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(51, 52))
+	domains := [][]Term{
+		nil,
+		{7},
+		{0, 1, 2, 3, 5, 8, 9, 10},
+		{math.MinInt32, -5, 0, 3, math.MaxInt32},
+	}
+	sparse := make([]Term, 300)
+	for i := range sparse {
+		sparse[i] = Term(rng.Int32N(1<<30) - 1<<29)
+	}
+	domains = append(domains, NewRecord(sparse...), NewRecord(append(sparse, math.MaxInt32)...))
+	for _, d := range domains {
+		checkIDs(t, d)
+	}
+}
+
+// checkIDs probes every term of the normalized domain d, its neighbours and
+// the int32 ends, and requires DenseDomain.ID to answer what a binary search
+// over d answers.
+func checkIDs(t *testing.T, d []Term) {
+	t.Helper()
+	dd := NewDenseDomainFromTerms(d)
+	var probes []Term
+	for _, x := range d {
+		probes = append(probes, x, x-1, x+1)
+	}
+	probes = append(probes, math.MinInt32, math.MaxInt32, 0)
+	for _, p := range probes {
+		want, wantOK := slices.BinarySearch(d, p)
+		got, ok := dd.ID(p)
+		if ok != wantOK || (ok && int(got) != want) {
+			t.Fatalf("domain %v: ID(%d) = %d, %v; want %d, %v", d, p, got, ok, want, wantOK)
+		}
+	}
+}
+
+func TestDenseDomainRemapAllPanicsOutsideDomain(t *testing.T) {
+	dd := NewDenseDomain([]Record{NewRecord(2, 4, 6)})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RemapAll accepted a term outside the domain")
+		}
+	}()
+	dd.RemapAll([]Record{NewRecord(2, 5)})
 }

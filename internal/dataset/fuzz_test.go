@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 )
@@ -105,5 +106,22 @@ func FuzzBinaryRecordReader(f *testing.F) {
 				t.Fatalf("round trip changed record %d", i)
 			}
 		}
+	})
+}
+
+// FuzzDenseDomainID reads the input as little-endian int32 terms, normalizes
+// them into a domain, and requires DenseDomain.ID to agree with a binary
+// search on every term, its neighbours and both int32 ends.
+func FuzzDenseDomainID(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f, 0xfb, 0xff, 0xff, 0xff})
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		terms := make([]Term, len(data)/4)
+		for i := range terms {
+			terms[i] = Term(int32(binary.LittleEndian.Uint32(data[4*i:])))
+		}
+		checkIDs(t, NewRecord(terms...))
 	})
 }

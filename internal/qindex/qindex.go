@@ -10,9 +10,9 @@
 //
 // The index is built once in O(published size) — one walk over the forest,
 // with every per-term table a flat slice over the dense rank domain (the
-// published terms in ascending order, the same device as
-// dataset.DenseDomain) — and is immutable afterwards, so any number of
-// goroutines may query it concurrently without locking.
+// published terms in ascending order, held as a dataset.DenseDomain, whose
+// bucketed lookup ranks every term) — and is immutable afterwards, so any
+// number of goroutines may query it concurrently without locking.
 package qindex
 
 import (
@@ -61,11 +61,11 @@ func (s TermStats) LowerBoundSupport() int { return s.SubrecordOcc + s.TermChunk
 
 // Index is the immutable inverted index over one published dataset.
 type Index struct {
-	a     *core.Anonymized
-	terms []dataset.Term // rank -> global term, ascending
+	a   *core.Anonymized
+	dom *dataset.DenseDomain // rank <-> global term, ascending
 
 	post    []Posting // flat posting backing, grouped by rank
-	postOff []int32   // rank -> offset into post; len == len(terms)+1
+	postOff []int32   // rank -> offset into post; len == NumTerms()+1
 
 	stats []TermStats // rank -> aggregate occurrence counts
 
@@ -79,7 +79,7 @@ type Index struct {
 // aggregate stats — for serialization (internal/snapfile persists exactly
 // these four slabs). Callers must not modify the returned slices.
 func (ix *Index) Slabs() (terms []dataset.Term, post []Posting, postOff []int32, stats []TermStats) {
-	return ix.terms, ix.post, ix.postOff, ix.stats
+	return ix.dom.Terms(), ix.post, ix.postOff, ix.stats
 }
 
 // FromSlabs assembles an Index directly over pre-built backing arrays — the
@@ -88,16 +88,17 @@ func (ix *Index) Slabs() (terms []dataset.Term, post []Posting, postOff []int32,
 // the Build invariants (terms strictly ascending; postOff a monotone prefix
 // sum with postOff[len(terms)] == len(post); every posting list sorted by
 // cluster id, ids valid for a); snapfile's reader validates them before
-// calling. retain, when non-nil, is stored in the index solely to keep a
-// backing resource (the file mapping) reachable for as long as the index is.
+// calling. The rank domain wraps terms without copying it. retain, when
+// non-nil, is stored in the index solely to keep a backing resource (the file
+// mapping) reachable for as long as the index is.
 func FromSlabs(a *core.Anonymized, terms []dataset.Term, post []Posting, postOff []int32, stats []TermStats, retain any) *Index {
-	return &Index{a: a, terms: terms, post: post, postOff: postOff, stats: stats, retain: retain}
+	return &Index{a: a, dom: dataset.NewDenseDomainFromTerms(terms), post: post, postOff: postOff, stats: stats, retain: retain}
 }
 
 // Build scans the published forest once and returns its inverted index.
 func Build(a *core.Anonymized) *Index {
-	ix := &Index{a: a, terms: collectDomain(a)}
-	n := len(ix.terms)
+	ix := &Index{a: a, dom: dataset.NewDenseDomainFromTerms(collectDomain(a))}
+	n := ix.dom.Len()
 	ix.stats = make([]TermStats, n)
 
 	// Pass 1 over the forest: per-term posting-list lengths and occurrence
@@ -170,7 +171,7 @@ func collectDomain(a *core.Anonymized) []dataset.Term {
 // fill pass ORs bits as it goes, updating the already-written posting.
 func (ix *Index) scanNode(node *core.ClusterNode, ci int32, counts []int32, bits []uint8, stamp []int32, next []int32) {
 	touch := func(t dataset.Term, kind uint8, subOcc, tcOcc int) {
-		r := ix.rankOf(t)
+		r := ix.MustRank(t)
 		if stamp[r] != ci {
 			stamp[r] = ci
 			bits[r] = 0
@@ -221,31 +222,25 @@ func (ix *Index) scanNode(node *core.ClusterNode, ci int32, counts []int32, bits
 	})
 }
 
-// rankOf returns the rank of a term known to be in the domain.
-func (ix *Index) rankOf(t dataset.Term) int32 {
-	r, ok := slices.BinarySearch(ix.terms, t)
-	if !ok {
-		panic("qindex: term outside the published domain")
-	}
-	return int32(r)
-}
-
 // MustRank returns the rank of a term that must be in the domain (panics
 // otherwise) — for callers walking the indexed publication itself, where a
 // missing term means a corrupted index.
-func (ix *Index) MustRank(t dataset.Term) int32 { return ix.rankOf(t) }
+func (ix *Index) MustRank(t dataset.Term) int32 {
+	r, ok := ix.dom.ID(t)
+	if !ok {
+		panic("qindex: term outside the published domain")
+	}
+	return r
+}
 
 // Anonymized returns the published dataset the index was built over.
 func (ix *Index) Anonymized() *core.Anonymized { return ix.a }
 
 // NumTerms returns the published domain size |T|.
-func (ix *Index) NumTerms() int { return len(ix.terms) }
+func (ix *Index) NumTerms() int { return ix.dom.Len() }
 
 // Rank returns the dense rank of a term and whether it is in the domain.
-func (ix *Index) Rank(t dataset.Term) (int32, bool) {
-	r, ok := slices.BinarySearch(ix.terms, t)
-	return int32(r), ok
-}
+func (ix *Index) Rank(t dataset.Term) (int32, bool) { return ix.dom.ID(t) }
 
 // Postings returns the term's posting list, sorted by cluster id. The caller
 // must not modify the returned slice.

@@ -2,7 +2,6 @@ package query
 
 import (
 	"math/rand/v2"
-	"slices"
 	"sync"
 	"testing"
 
@@ -297,38 +296,4 @@ func TestRecoveredEstimatorConcurrentFirstQueries(t *testing.T) {
 		close(start)
 		wg.Wait()
 	})
-}
-
-// rankTable must agree with a binary search over the domain for dense,
-// sparse and negative term ids, including both ends of the int32 range.
-func TestRankTableMatchesBinarySearch(t *testing.T) {
-	rng := rand.New(rand.NewPCG(51, 52))
-	domains := [][]dataset.Term{
-		nil,
-		{7},
-		{0, 1, 2, 3, 5, 8, 9, 10},
-		{-1 << 31, -5, 0, 3, 1<<31 - 1},
-	}
-	sparse := make([]dataset.Term, 300)
-	for i := range sparse {
-		sparse[i] = dataset.Term(rng.Int32N(1<<30) - 1<<29)
-	}
-	domains = append(domains, dataset.NewRecord(sparse...), dataset.NewRecord(append(sparse, 1<<31-1)...))
-	for _, d := range domains {
-		rt := newRankTable(d)
-		var probes dataset.Record
-		for _, t := range d {
-			probes = append(probes, t, t-1, t+1)
-		}
-		probes = append(probes, -1<<31, 1<<31-1, 0)
-		for _, p := range probes {
-			want := int32(-1)
-			if r, ok := slices.BinarySearch(d, p); ok {
-				want = int32(r)
-			}
-			if got := rt.rank(p); got != want {
-				t.Fatalf("domain %v: rank of %d = %d, want %d", d, p, got, want)
-			}
-		}
-	}
 }

@@ -76,31 +76,30 @@ type nodeIndex struct {
 // not counted: a recovered forest is never cross-checked against the
 // persisted index slabs, so the build takes whatever it finds.
 func buildNodeIndex(a *core.Anonymized, ix *qindex.Index) *nodeIndex {
-	terms, _, _, _ := ix.Slabs()
-	rt := newRankTable(terms)
-	ni := &nodeIndex{roots: make([]int32, len(a.Clusters)), entOff: make([]int32, len(terms)+1)}
-	for ci, n := range a.Clusters {
+	n := ix.NumTerms()
+	ni := &nodeIndex{roots: make([]int32, len(a.Clusters)), entOff: make([]int32, n+1)}
+	for ci, c := range a.Clusters {
 		ni.roots[ci] = -1
-		if !n.IsLeaf() {
+		if !c.IsLeaf() {
 			ni.roots[ci] = int32(len(ni.nodes))
-			ni.number(n, &rt)
+			ni.number(c, ix)
 		}
 	}
-	for r := range terms {
+	for r := range n {
 		ni.entOff[r+1] += ni.entOff[r]
 	}
-	ni.ent = make([]termEntry, ni.entOff[len(terms)])
-	next := slices.Clone(ni.entOff[:len(terms)])
+	ni.ent = make([]termEntry, ni.entOff[n])
+	next := slices.Clone(ni.entOff[:n])
 
 	// slot holds, per rank, the entry last written for it. A subrecord term
 	// counts toward that entry only if it belongs to the chunk being filled.
-	slot := make([]int32, len(terms))
+	slot := make([]int32, n)
 	for r := range slot {
 		slot[r] = -1
 	}
 	add := func(id, chunk int32, d dataset.Record) {
 		for _, t := range d {
-			if r := rt.rank(t); r >= 0 {
+			if r, ok := ix.Rank(t); ok {
 				ni.ent[next[r]] = termEntry{node: id, chunk: chunk}
 				slot[r] = next[r]
 				next[r]++
@@ -111,7 +110,7 @@ func buildNodeIndex(a *core.Anonymized, ix *qindex.Index) *nodeIndex {
 		add(id, chunk, c.Domain)
 		for _, sr := range c.Subrecords {
 			for _, t := range sr {
-				if r := rt.rank(t); r >= 0 && slot[r] >= 0 {
+				if r, ok := ix.Rank(t); ok && slot[r] >= 0 {
 					if e := &ni.ent[slot[r]]; e.node == id && e.chunk == chunk {
 						e.count++
 					}
@@ -137,13 +136,13 @@ func buildNodeIndex(a *core.Anonymized, ix *qindex.Index) *nodeIndex {
 // number appends the subtree of n to the pre-order arrays and counts the
 // entries of its domain terms in entOff[rank+1]. It sets the subtree's end
 // and record count on the way up.
-func (ni *nodeIndex) number(n *core.ClusterNode, rt *rankTable) {
+func (ni *nodeIndex) number(n *core.ClusterNode, ix *qindex.Index) {
 	id := len(ni.nodes)
 	ni.nodes = append(ni.nodes, n)
 	ni.flat = append(ni.flat, flatNode{leaf: n.IsLeaf()})
 	count := func(d dataset.Record) {
 		for _, t := range d {
-			if r := rt.rank(t); r >= 0 {
+			if r, ok := ix.Rank(t); ok {
 				ni.entOff[r+1]++
 			}
 		}
@@ -161,67 +160,12 @@ func (ni *nodeIndex) number(n *core.ClusterNode, rt *rankTable) {
 		}
 		for _, child := range n.Children {
 			cid := len(ni.nodes)
-			ni.number(child, rt)
+			ni.number(child, ix)
 			size += ni.flat[cid].size
 		}
 	}
 	ni.flat[id].size = size
 	ni.flat[id].end = int32(len(ni.nodes))
-}
-
-// rankTable finds index ranks through one flat slice instead of a binary
-// search over the whole domain: terms are bucketed by their offset from the
-// smallest one, with at most as many buckets as terms, and a lookup searches
-// only its bucket. Term ids are dense in practice, so a bucket holds a rank
-// or two; sparse ids degrade to the whole-domain search.
-type rankTable struct {
-	terms []dataset.Term // rank -> term, ascending
-	lo    int64          // the smallest term
-	shift uint           // bucket of t: (t - lo) >> shift
-	first []int32        // bucket -> its first rank; the last entry is len(terms)
-}
-
-func newRankTable(terms []dataset.Term) rankTable {
-	rt := rankTable{terms: terms}
-	if len(terms) == 0 {
-		return rt
-	}
-	rt.lo = int64(terms[0])
-	span := int64(terms[len(terms)-1]) - rt.lo
-	for span>>rt.shift >= int64(len(terms)) {
-		rt.shift++
-	}
-	rt.first = make([]int32, span>>rt.shift+2)
-	r := 0
-	for b := range rt.first {
-		for r < len(terms) && (int64(terms[r])-rt.lo)>>rt.shift < int64(b) {
-			r++
-		}
-		rt.first[b] = int32(r)
-	}
-	return rt
-}
-
-// rank returns the rank of t, or -1 when t is outside the domain.
-func (rt *rankTable) rank(t dataset.Term) int32 {
-	off := int64(t) - rt.lo
-	if off < 0 || off>>rt.shift >= int64(len(rt.first)-1) {
-		return -1
-	}
-	b := off >> rt.shift
-	lo, hi := rt.first[b], rt.first[b+1]
-	for lo < hi {
-		h := int32(uint32(lo+hi) >> 1)
-		if rt.terms[h] < t {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	if lo < rt.first[b+1] && rt.terms[lo] == t {
-		return lo
-	}
-	return -1
 }
 
 // ancestorAcc is what the ancestors of the current node offer one term:

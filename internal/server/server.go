@@ -237,10 +237,11 @@ type MetricsResponse struct {
 
 // DeltaResponse is the body answering a successful append or remove: the new
 // snapshot's info plus what the republish actually recomputed. DirtyShards out
-// of TotalShards were re-anonymized; ReplannedShards of those had their plan
-// subtree rebuilt in place because the delta flipped a shard-boundary
-// decision; FullRepublish reports the fallback for boundary shifts
-// replanning could not absorb.
+// of TotalShards changed (their records or split-path set) and were
+// re-anonymized; ReplannedShards of those lie in a plan subtree rebuilt in
+// place because the delta flipped a shard-boundary decision, whose unchanged
+// shards are kept and not counted; FullRepublish reports the fallback for
+// boundary shifts replanning could not absorb.
 type DeltaResponse struct {
 	DatasetInfo
 	Appended        int  `json:"appended"`

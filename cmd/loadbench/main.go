@@ -21,10 +21,11 @@
 // -shard-records > 0 so deltas re-anonymize only dirty shards), each client
 // removing batches it previously appended.
 //
-// With -bench the results are printed as `go test -bench`-style lines, so
-// CI pipes them through cmd/benchjson into the archived BENCH_PR7.json:
+// With -bench the results are also printed as lines in the `go test -bench`
+// format — name, iteration count (requests), then value-unit pairs — so they
+// read like the micro-benchmarks printed next to them in CI's bench job:
 //
-//	loadbench -data web.txt -inprocess -bench | benchjson > bench.json
+//	BenchmarkLoadbench/singleton-2 	<requests>	<mean> ns/op	<p50> p50-ns	...
 package main
 
 import (
@@ -502,8 +503,8 @@ func entryName(spec *load.Spec, i int) string {
 	return spec.Entries[i].Kind
 }
 
-// report writes the human summary to logw and, with -bench, the
-// benchjson-parsable lines to out.
+// report writes the human summary to logw and, with -bench, the lines in
+// the go test -bench format to out.
 func report(out, logw io.Writer, cfg config, spec *load.Spec, stats runStats) {
 	var total load.Histogram
 	var totalErrs, totalQueries int64
@@ -533,8 +534,8 @@ func report(out, logw io.Writer, cfg config, spec *load.Spec, stats runStats) {
 	if !cfg.benchFmt {
 		return
 	}
-	// go test -bench line shape, so cmd/benchjson parses it unchanged:
-	// name, iterations (requests), then value-unit pairs.
+	// go test -bench line shape: name, iterations (requests), then
+	// value-unit pairs.
 	procs := runtime.GOMAXPROCS(0)
 	for i := range stats.perEntry {
 		es := &stats.perEntry[i]

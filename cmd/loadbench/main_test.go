@@ -42,8 +42,8 @@ func writeTestData(t *testing.T, n, domain, maxLen int) string {
 
 // TestLoadbenchInprocessSmoke runs the whole driver against an in-process
 // disassod: a bounded request budget, mixed ops including churn, bench
-// output on. The run must finish with zero errors and emit bench lines
-// cmd/benchjson can parse (even field count, integer iteration counts).
+// output on. The run must finish with zero errors and emit lines in the
+// go test -bench format (even field count, integer iteration counts).
 func TestLoadbenchInprocessSmoke(t *testing.T) {
 	cfg := config{
 		data:      writeTestData(t, 200, 50, 6),
@@ -72,7 +72,7 @@ func TestLoadbenchInprocessSmoke(t *testing.T) {
 			t.Errorf("bench line %q lacks the label prefix", line)
 		}
 		if len(fields) < 4 || len(fields)%2 != 0 {
-			t.Errorf("bench line %q not benchjson-parsable (%d fields)", line, len(fields))
+			t.Errorf("bench line %q not in the go test -bench format (%d fields)", line, len(fields))
 			continue
 		}
 		n, err := strconv.ParseInt(fields[1], 10, 64)

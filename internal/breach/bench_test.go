@@ -41,8 +41,8 @@ func benchOptions(name string) core.Options {
 
 // BenchmarkBreachAudit times the cover-problem detector over a full plain
 // publication and attaches the breach rate it finds: findings plus the
-// fraction of clusters breached — the "before repair" numbers of the
-// BENCH_PR10 record.
+// fraction of clusters breached — the "before repair" numbers of CI's
+// bench job.
 func BenchmarkBreachAudit(b *testing.B) {
 	for _, in := range benchInputs(b) {
 		name, d := in.name, in.d

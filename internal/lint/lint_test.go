@@ -45,7 +45,7 @@ func TestAtomicWrite(t *testing.T) {
 
 func TestUnsafeSlab(t *testing.T) {
 	linttest.Run(t, "testdata", lint.UnsafeSlab,
-		"unsafeslab/qindex", "unsafeslab/snapfile", "unsafeslab/generic")
+		"unsafeslab/query", "unsafeslab/snapfile", "unsafeslab/generic")
 }
 
 // TestRepoIsClean is the self-smoke test: the scoped suite over the whole

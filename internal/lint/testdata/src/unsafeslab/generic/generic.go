@@ -5,7 +5,7 @@ package generic
 import (
 	"unsafe"
 
-	"disasso/internal/lint/testdata/src/unsafeslab/qindex"
+	"disasso/internal/lint/testdata/src/unsafeslab/query"
 )
 
 // unpinned has no entry in the analyzer's layout pins.
@@ -27,7 +27,7 @@ func castSlice[T any](b []byte, n int) ([]T, bool) {
 
 func use(b []byte) {
 	_, _ = castSlice[int32](b, 1)          // basic element types are fine
-	_, _ = castSlice[qindex.Posting](b, 1) // pinned type: fine
+	_, _ = castSlice[query.Estimate](b, 1) // pinned type: fine
 	_, _ = castSlice[unpinned](b, 1)       // want "castSlice instantiated with .*unpinned, whose layout is not pinned"
 
 	//lint:ignore unsafeslab fixture justification: exercised by the suppression test

@@ -6,7 +6,7 @@ package snapfile
 
 import "unsafe"
 
-const formatVersion = 2 // want "formatVersion is 2 but unsafeslab pins version 1"
+const formatVersion = 3 // want "formatVersion is 3 but unsafeslab pins version 2"
 
 // badCast reconstructs a pointer with no alignment guard anywhere in the
 // function.

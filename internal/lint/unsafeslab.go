@@ -9,8 +9,9 @@ import (
 )
 
 // UnsafeSlab guards the zero-copy serving path. snapfile reconstructs typed
-// slices (postings, term stats, singleton estimates) directly over mmapped
-// bytes with unsafe.Pointer; that is sound only while three things hold:
+// slices (the term domain, posting offsets and cluster ids, and the
+// singleton estimates) directly over mmapped bytes with unsafe.Pointer; that
+// is sound only while three things hold:
 //
 //  1. every reconstruction sits behind an alignment guard (the Sizeof and
 //     Offsetof guards are package-level canCast* checks; the alignment of
@@ -19,7 +20,7 @@ import (
 //     unmapping (the retain argument of FromSlabs);
 //  3. the casted struct layouts match what the on-disk format encodes.
 //
-// Clause 3 is the subtle one: editing qindex.Posting compiles fine, the
+// Clause 3 is the subtle one: editing query.Estimate compiles fine, the
 // runtime guards even pass (they compare the NEW layout against itself), and
 // the reader silently misinterprets every old artifact. So the analyzer pins
 // the layouts — size, field names, field offsets, field COUNT (a padding-
@@ -32,7 +33,8 @@ import (
 //
 // Layouts are computed with the gc sizes for amd64 regardless of host, so
 // lint results do not vary by machine; the snapfile format itself is
-// declared little-endian/64-bit and refuses other hosts at runtime.
+// declared little-endian/64-bit, and its reader copies instead of casting
+// on hosts whose layout differs.
 var UnsafeSlab = &Analyzer{
 	Name: "unsafeslab",
 	Doc: "pins the layouts of unsafe-casted slab types to the snapfile " +
@@ -40,7 +42,6 @@ var UnsafeSlab = &Analyzer{
 		"every zero-copy reconstruction",
 	Scope: []string{
 		"internal/snapfile",
-		"internal/qindex",
 		"internal/query",
 		"internal/dataset",
 	},
@@ -64,7 +65,7 @@ type pinnedLayout struct {
 // pinnedSnapfileVersion must match snapfile's formatVersion constant. Bump
 // it ONLY together with the format: if a pinned layout below changed, the
 // on-disk encoding changed with it.
-const pinnedSnapfileVersion = 1
+const pinnedSnapfileVersion = 2
 
 // pinnedLayouts records, per package (matched by import-path suffix, so the
 // lint fixtures can stand in for the real packages), the layout of every
@@ -74,14 +75,6 @@ const pinnedSnapfileVersion = 1
 // pinnedSnapfileVersion above: the old artifacts on disk still hold the old
 // layout.
 var pinnedLayouts = map[string]map[string]pinnedLayout{
-	"qindex": {
-		"Posting": {size: 8, fields: []pinnedField{
-			{"Cluster", 0}, {"Bits", 4},
-		}},
-		"TermStats": {size: 24, fields: []pinnedField{
-			{"SubrecordOcc", 0}, {"TermChunkOcc", 8}, {"Clusters", 16},
-		}},
-	},
 	"query": {
 		"Estimate": {size: 24, fields: []pinnedField{
 			{"Lower", 0}, {"Upper", 8}, {"Expected", 16},

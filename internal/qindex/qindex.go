@@ -5,14 +5,16 @@
 // those queries sublinear in the number of clusters: each term maps to the
 // posting list of top-level cluster nodes it occurs in, so an itemset query
 // only ever visits the clusters in the intersection of its terms' posting
-// lists, and per-term aggregates (the Section 6 certain lower bounds) are
-// answered without touching the forest at all.
+// lists.
 //
-// The index is built once in O(published size) — one walk over the forest,
-// with every per-term table a flat slice over the dense rank domain (the
-// published terms in ascending order, held as a dataset.DenseDomain, whose
-// bucketed lookup ranks every term) — and is immutable afterwards, so any
-// number of goroutines may query it concurrently without locking.
+// The index is two flat slabs over the dense rank domain (the published
+// terms in ascending order, held as a dataset.DenseDomain, whose bucketed
+// lookup ranks every term): the cluster ids of every posting list, grouped
+// by rank, and their per-rank prefix-sum offsets. Build reads only the
+// forest's chunk domains and term chunks — once to collect the domain, then
+// twice to size and fill the posting lists — and the index is immutable
+// afterwards, so any number of goroutines may query it concurrently without
+// locking.
 package qindex
 
 import (
@@ -22,52 +24,12 @@ import (
 	"disasso/internal/dataset"
 )
 
-// Occurrence-kind bits of one posting: where inside the cluster node the
-// term occurs. A term may carry several bits (e.g. hosted by one leaf's
-// record chunk and another leaf's term chunk of the same joint cluster).
-const (
-	// OccRecordChunk: the term is in a record-chunk domain of some leaf.
-	OccRecordChunk = 1 << iota
-	// OccTermChunk: the term is in some leaf's term chunk.
-	OccTermChunk
-	// OccSharedChunk: the term is in a shared-chunk domain of some joint.
-	OccSharedChunk
-)
-
-// Posting is one entry of a term's posting list: a top-level cluster node
-// (index into Anonymized.Clusters) plus the occurrence-kind bits the term
-// has inside it.
-type Posting struct {
-	Cluster int32
-	Bits    uint8
-}
-
-// TermStats aggregates one term's occurrences across the whole publication.
-type TermStats struct {
-	// SubrecordOcc counts subrecords containing the term across all record
-	// and shared chunks — occurrences certain in every reconstruction.
-	SubrecordOcc int
-	// TermChunkOcc counts the term chunks holding the term; each contributes
-	// exactly one certain appearance (presence, not multiplicity).
-	TermChunkOcc int
-	// Clusters is the term's posting-list length.
-	Clusters int
-}
-
-// LowerBoundSupport is the Section 6 certain lower bound of the term's
-// support: every subrecord occurrence plus one appearance per term chunk.
-// It equals Anonymized.LowerBoundSupports()[term].
-func (s TermStats) LowerBoundSupport() int { return s.SubrecordOcc + s.TermChunkOcc }
-
 // Index is the immutable inverted index over one published dataset.
 type Index struct {
-	a   *core.Anonymized
 	dom *dataset.DenseDomain // rank <-> global term, ascending
 
-	post    []Posting // flat posting backing, grouped by rank
-	postOff []int32   // rank -> offset into post; len == NumTerms()+1
-
-	stats []TermStats // rank -> aggregate occurrence counts
+	post    []int32 // flat posting backing: cluster ids, grouped by rank
+	postOff []int32 // rank -> offset into post; len == NumTerms()+1
 
 	// retain pins a backing resource (a snapshot-file mapping) whose
 	// lifetime must cover the index's: the slabs above may be views into it.
@@ -75,68 +37,90 @@ type Index struct {
 }
 
 // Slabs exposes the index's flat backing arrays — the sorted term domain,
-// the posting slab, its per-rank prefix-sum offsets and the per-term
-// aggregate stats — for serialization (internal/snapfile persists exactly
-// these four slabs). Callers must not modify the returned slices.
-func (ix *Index) Slabs() (terms []dataset.Term, post []Posting, postOff []int32, stats []TermStats) {
-	return ix.dom.Terms(), ix.post, ix.postOff, ix.stats
+// the posting slab of cluster ids and its per-rank prefix-sum offsets — for
+// serialization (internal/snapfile persists exactly these three slabs).
+// Callers must not modify the returned slices.
+func (ix *Index) Slabs() (terms []dataset.Term, post, postOff []int32) {
+	return ix.dom.Terms(), ix.post, ix.postOff
 }
 
 // FromSlabs assembles an Index directly over pre-built backing arrays — the
 // inverse of Slabs, used by internal/snapfile to reconstruct an index as
 // zero-copy views over a memory-mapped snapshot file. The slabs must satisfy
 // the Build invariants (terms strictly ascending; postOff a monotone prefix
-// sum with postOff[len(terms)] == len(post); every posting list sorted by
-// cluster id, ids valid for a); snapfile's reader validates them before
-// calling. The rank domain wraps terms without copying it. retain, when
-// non-nil, is stored in the index solely to keep a backing resource (the file
-// mapping) reachable for as long as the index is.
-func FromSlabs(a *core.Anonymized, terms []dataset.Term, post []Posting, postOff []int32, stats []TermStats, retain any) *Index {
-	return &Index{a: a, dom: dataset.NewDenseDomainFromTerms(terms), post: post, postOff: postOff, stats: stats, retain: retain}
+// sum with postOff[len(terms)] == len(post); every posting list strictly
+// ascending, ids valid for the forest served with it); snapfile's reader
+// validates them before calling. The rank domain wraps terms without copying
+// it. retain, when non-nil, is stored in the index solely to keep a backing
+// resource (the file mapping) reachable for as long as the index is.
+func FromSlabs(terms []dataset.Term, post, postOff []int32, retain any) *Index {
+	return &Index{dom: dataset.NewDenseDomainFromTerms(terms), post: post, postOff: postOff, retain: retain}
 }
 
-// Build scans the published forest once and returns its inverted index.
+// Build walks the published forest and returns its inverted index.
 func Build(a *core.Anonymized) *Index {
-	ix := &Index{a: a, dom: dataset.NewDenseDomainFromTerms(collectDomain(a))}
+	ix := &Index{dom: dataset.NewDenseDomainFromTerms(collectDomain(a))}
 	n := ix.dom.Len()
-	ix.stats = make([]TermStats, n)
 
-	// Pass 1 over the forest: per-term posting-list lengths and occurrence
-	// stats, using an epoch-stamped bits table so each (term, cluster) pair
-	// is counted once however many times the term occurs inside the cluster.
+	// Pass 1 sizes every rank's posting list; pass 2 fills the flat slab
+	// carved by prefix sums. Clusters are visited in order, so every list
+	// comes out sorted by cluster id — the invariant IntersectClusters'
+	// binary searches rely on.
 	counts := make([]int32, n)
-	bits := make([]uint8, n)
-	stamp := make([]int32, n)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	for ci, node := range a.Clusters {
-		ix.scanNode(node, int32(ci), counts, bits, stamp, nil)
-	}
-
-	// Carve the flat posting slab by prefix sums, then fill in pass 2. The
-	// clusters are walked in order, so every posting list ends up sorted by
-	// cluster id — the invariant the intersection merge relies on.
+	ix.eachPosting(a, func(r, _ int32) { counts[r]++ })
 	ix.postOff = make([]int32, n+1)
-	total := int32(0)
 	for r, c := range counts {
-		ix.postOff[r] = total
-		total += c
+		ix.postOff[r+1] = ix.postOff[r] + c
 	}
-	ix.postOff[n] = total
-	ix.post = make([]Posting, total)
-	next := make([]int32, n)
+	ix.post = make([]int32, ix.postOff[n])
+	next := counts // reused as the per-rank write cursors
 	copy(next, ix.postOff[:n])
+	ix.eachPosting(a, func(r, ci int32) {
+		ix.post[next[r]] = ci
+		next[r]++
+	})
+	return ix
+}
+
+// eachPosting calls fn once for every (rank, cluster id) pair whose term
+// occurs in the top-level cluster, in ascending cluster order. A per-rank
+// stamp of the last cluster seen drops a term's repeat occurrences inside
+// one cluster.
+func (ix *Index) eachPosting(a *core.Anonymized, fn func(r, ci int32)) {
+	stamp := make([]int32, ix.dom.Len())
 	for i := range stamp {
 		stamp[i] = -1
 	}
-	for ci, node := range a.Clusters {
-		ix.scanNode(node, int32(ci), nil, bits, stamp, next)
+	for i, node := range a.Clusters {
+		ci := int32(i)
+		chunkTerms(node, func(terms []dataset.Term) {
+			for _, t := range terms {
+				if r := ix.MustRank(t); stamp[r] != ci {
+					stamp[r] = ci
+					fn(r, ci)
+				}
+			}
+		})
 	}
-	for r := range ix.stats {
-		ix.stats[r].Clusters = int(counts[r])
-	}
-	return ix
+}
+
+// chunkTerms calls visit with each chunk domain and term chunk under node.
+// Subrecords need no walk: a subrecord's terms always lie inside its chunk's
+// domain (the anonymity verifier checks this), so these lists hold every
+// term the node publishes.
+func chunkTerms(node *core.ClusterNode, visit func([]dataset.Term)) {
+	node.Walk(func(cn *core.ClusterNode) {
+		if cn.IsLeaf() {
+			for _, c := range cn.Simple.RecordChunks {
+				visit(c.Domain)
+			}
+			visit(cn.Simple.TermChunk)
+			return
+		}
+		for _, c := range cn.SharedChunks {
+			visit(c.Domain)
+		}
+	})
 }
 
 // collectDomain returns the published domain as a sorted term slice — the
@@ -144,82 +128,11 @@ func Build(a *core.Anonymized) *Index {
 // core.collectTerms).
 func collectDomain(a *core.Anonymized) []dataset.Term {
 	var all []dataset.Term
-	for _, n := range a.Clusters {
-		n.Walk(func(cn *core.ClusterNode) {
-			if cn.IsLeaf() {
-				for _, c := range cn.Simple.RecordChunks {
-					all = append(all, c.Domain...)
-				}
-				all = append(all, cn.Simple.TermChunk...)
-			} else {
-				for _, c := range cn.SharedChunks {
-					all = append(all, c.Domain...)
-				}
-			}
-		})
+	for _, node := range a.Clusters {
+		chunkTerms(node, func(terms []dataset.Term) { all = append(all, terms...) })
 	}
 	slices.Sort(all)
 	return slices.Compact(all)
-}
-
-// scanNode walks one top-level cluster node accumulating per-term state. In
-// the counting pass (counts non-nil) it sizes posting lists and fills
-// TermStats; in the fill pass (next non-nil) it writes the postings. The
-// stamp table tracks which ranks have been seen for the current cluster;
-// bits accumulates the occurrence kinds while the cluster is being walked
-// and is flushed into the posting on first sight in the fill pass — so the
-// fill pass ORs bits as it goes, updating the already-written posting.
-func (ix *Index) scanNode(node *core.ClusterNode, ci int32, counts []int32, bits []uint8, stamp []int32, next []int32) {
-	touch := func(t dataset.Term, kind uint8, subOcc, tcOcc int) {
-		r := ix.MustRank(t)
-		if stamp[r] != ci {
-			stamp[r] = ci
-			bits[r] = 0
-			if counts != nil {
-				counts[r]++
-			}
-			if next != nil {
-				ix.post[next[r]] = Posting{Cluster: ci}
-				next[r]++
-			}
-		}
-		bits[r] |= kind
-		if next != nil {
-			ix.post[next[r]-1].Bits = bits[r]
-		}
-		if counts != nil {
-			ix.stats[r].SubrecordOcc += subOcc
-			ix.stats[r].TermChunkOcc += tcOcc
-		}
-	}
-	node.Walk(func(cn *core.ClusterNode) {
-		if cn.IsLeaf() {
-			for _, c := range cn.Simple.RecordChunks {
-				for _, t := range c.Domain {
-					touch(t, OccRecordChunk, 0, 0)
-				}
-				for _, sr := range c.Subrecords {
-					for _, t := range sr {
-						touch(t, OccRecordChunk, 1, 0)
-					}
-				}
-			}
-			for _, t := range cn.Simple.TermChunk {
-				touch(t, OccTermChunk, 0, 1)
-			}
-			return
-		}
-		for _, c := range cn.SharedChunks {
-			for _, t := range c.Domain {
-				touch(t, OccSharedChunk, 0, 0)
-			}
-			for _, sr := range c.Subrecords {
-				for _, t := range sr {
-					touch(t, OccSharedChunk, 1, 0)
-				}
-			}
-		}
-	})
 }
 
 // MustRank returns the rank of a term that must be in the domain (panics
@@ -233,23 +146,17 @@ func (ix *Index) MustRank(t dataset.Term) int32 {
 	return r
 }
 
-// Anonymized returns the published dataset the index was built over.
-func (ix *Index) Anonymized() *core.Anonymized { return ix.a }
-
 // NumTerms returns the published domain size |T|.
 func (ix *Index) NumTerms() int { return ix.dom.Len() }
 
 // Rank returns the dense rank of a term and whether it is in the domain.
 func (ix *Index) Rank(t dataset.Term) (int32, bool) { return ix.dom.ID(t) }
 
-// Postings returns the term's posting list, sorted by cluster id. The caller
-// must not modify the returned slice.
-func (ix *Index) Postings(rank int32) []Posting {
+// Postings returns the ids of the top-level cluster nodes the term occurs
+// in, strictly ascending. The caller must not modify the returned slice.
+func (ix *Index) Postings(rank int32) []int32 {
 	return ix.post[ix.postOff[rank]:ix.postOff[rank+1]]
 }
-
-// Stats returns the term's aggregate occurrence counts.
-func (ix *Index) Stats(rank int32) TermStats { return ix.stats[rank] }
 
 // IntersectClusters appends to dst the ids of the top-level cluster nodes
 // containing every term of the normalized itemset — the only clusters that
@@ -261,7 +168,7 @@ func (ix *Index) IntersectClusters(dst []int32, s dataset.Record) []int32 {
 	if len(s) == 0 {
 		return dst
 	}
-	lists := make([][]Posting, len(s))
+	lists := make([][]int32, len(s))
 	for i, t := range s {
 		r, ok := ix.Rank(t)
 		if !ok {
@@ -269,24 +176,15 @@ func (ix *Index) IntersectClusters(dst []int32, s dataset.Record) []int32 {
 		}
 		lists[i] = ix.Postings(r)
 	}
-	slices.SortFunc(lists, func(a, b []Posting) int { return len(a) - len(b) })
+	slices.SortFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
 outer:
-	for _, p := range lists[0] {
+	for _, ci := range lists[0] {
 		for _, l := range lists[1:] {
-			if !containsCluster(l, p.Cluster) {
+			if _, ok := slices.BinarySearch(l, ci); !ok {
 				continue outer
 			}
 		}
-		dst = append(dst, p.Cluster)
+		dst = append(dst, ci)
 	}
 	return dst
-}
-
-// containsCluster reports whether the posting list (sorted by cluster) holds
-// the cluster id.
-func containsCluster(l []Posting, c int32) bool {
-	_, ok := slices.BinarySearchFunc(l, c, func(p Posting, c int32) int {
-		return int(p.Cluster - c)
-	})
-	return ok
 }

@@ -91,9 +91,6 @@ func (e *Estimator) Index() *qindex.Index { return e.ix }
 // Callers must not modify the returned slice.
 func (e *Estimator) Singles() []Estimate { return e.singles }
 
-// Publication returns the published dataset the estimator answers for.
-func (e *Estimator) Publication() *core.Anonymized { return e.a }
-
 // Support estimates the support of the normalized itemset s, returning the
 // same Estimate as Support(a, s).
 func (e *Estimator) Support(s dataset.Record) Estimate {

@@ -199,8 +199,7 @@ func cacheBenchPublication(tb testing.TB, n, domain int) (*core.Anonymized, []da
 
 // BenchmarkServedSupportCached / Uncached measure the snapshot-level
 // difference the cache makes on a Zipf repeat-heavy mix (the HTTP-level
-// counterpart is cmd/loadbench's cache on/off run archived in
-// BENCH_PR5.json).
+// counterpart is cmd/loadbench's cache on/off run in CI's bench job).
 func BenchmarkServedSupportCached(b *testing.B) {
 	old := supportCacheOn
 	supportCacheOn = true

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -221,9 +222,12 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	ts1 := httptest.NewServer(srv1)
 	do(t, ts1.Client(), "POST", ts1.URL+"/v1/datasets/good?k=3&m=2", text, http.StatusCreated, nil)
 	do(t, ts1.Client(), "POST", ts1.URL+"/v1/datasets/hurt?k=3&m=2", text, http.StatusCreated, nil)
+	do(t, ts1.Client(), "POST", ts1.URL+"/v1/datasets/old?k=3&m=2", text, http.StatusCreated, nil)
 	ts1.Close()
 
-	// A torn write the crash left behind, a bit-rotted snapshot, a foreign file.
+	// A torn write the crash left behind, a bit-rotted snapshot, a healthy
+	// snapshot stamped with format version 1 (which has no reader), a
+	// foreign file.
 	tmpPath := filepath.Join(dir, "half-1234.tmp")
 	if err := os.WriteFile(tmpPath, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
@@ -235,6 +239,15 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	}
 	raw[len(raw)/2] ^= 0x20
 	if err := os.WriteFile(hurt, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "old.snap")
+	raw, err = os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[4:], 1) // the header's format version
+	if err := os.WriteFile(old, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
@@ -249,8 +262,8 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	if len(rep.Loaded) != 1 || rep.Loaded[0] != "good" {
 		t.Fatalf("loaded = %v, want [good]", rep.Loaded)
 	}
-	if len(rep.Skipped) != 3 {
-		t.Fatalf("skipped = %+v, want 3 entries", rep.Skipped)
+	if len(rep.Skipped) != 4 {
+		t.Fatalf("skipped = %+v, want 4 entries", rep.Skipped)
 	}
 	reasons := map[string]string{}
 	for _, sk := range rep.Skipped {
@@ -262,15 +275,20 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	if r := reasons["hurt.snap"]; !strings.Contains(r, "CRC mismatch") {
 		t.Errorf("corrupt skip reason = %q", r)
 	}
+	if r := reasons["old.snap"]; !strings.Contains(r, "unsupported format version 1") {
+		t.Errorf("old-version skip reason = %q", r)
+	}
 	if r := reasons["notes.txt"]; !strings.Contains(r, "not a snapshot") {
 		t.Errorf("foreign skip reason = %q", r)
 	}
 	if _, err := os.Stat(tmpPath); !errors.Is(err, os.ErrNotExist) {
 		t.Error("leftover temp file was not removed")
 	}
-	// The damaged artifact stays on disk for forensics.
-	if _, err := os.Stat(hurt); err != nil {
-		t.Errorf("corrupted snapshot file was removed: %v", err)
+	// The damaged and the old-version artifacts stay on disk for forensics.
+	for _, path := range []string{hurt, old} {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("skipped snapshot file was removed: %v", err)
+		}
 	}
 }
 

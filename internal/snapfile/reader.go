@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -130,12 +131,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	return parse(data, false)
 }
 
-// section is one parsed table entry.
-type section struct {
-	id      uint32
-	payload []byte
-}
-
 // parse validates the whole file — header, table bounds, alignment, CRCs,
 // slab invariants — and assembles the Snapshot. Nothing is trusted before
 // its CRC passes, and nothing structural (offsets, counts, cluster ids) is
@@ -151,8 +146,10 @@ func parse(data []byte, mapped bool) (*Snapshot, error) {
 	if v := binary.LittleEndian.Uint32(data[4:]); v != formatVersion {
 		return nil, fmt.Errorf("unsupported format version %d", v)
 	}
+	// Section ids are unique and each one defined, so the count is the
+	// required sections, plus one when the original section is present.
 	count := binary.LittleEndian.Uint32(data[8:])
-	if count == 0 || count > maxSections {
+	if count < uint32(len(requiredSections)) || count > uint32(len(requiredSections))+1 {
 		return nil, fmt.Errorf("implausible section count %d", count)
 	}
 	tableEnd := headerSize + int(count)*tableEntrySize
@@ -160,13 +157,19 @@ func parse(data []byte, mapped bool) (*Snapshot, error) {
 		return nil, fmt.Errorf("section table overruns the file")
 	}
 
-	secs := make(map[uint32]section, count)
+	secs := make(map[uint32][]byte, count)
 	for i := 0; i < int(count); i++ {
 		entry := data[headerSize+i*tableEntrySize:]
 		id := binary.LittleEndian.Uint32(entry)
 		crc := binary.LittleEndian.Uint32(entry[4:])
 		off := binary.LittleEndian.Uint64(entry[8:])
 		length := binary.LittleEndian.Uint64(entry[16:])
+		// An id the format does not define is damage, not an extension: a
+		// flipped bit in the original section's id would otherwise load the
+		// file without its originals.
+		if id != secOriginal && !slices.Contains(requiredSections, id) {
+			return nil, fmt.Errorf("unknown section id %d", id)
+		}
 		if off%sectionAlign != 0 {
 			return nil, fmt.Errorf("section %d: offset %d not %d-aligned", id, off, sectionAlign)
 		}
@@ -180,52 +183,48 @@ func parse(data []byte, mapped bool) (*Snapshot, error) {
 		if got := crc32.ChecksumIEEE(payload); got != crc {
 			return nil, fmt.Errorf("section %d: CRC mismatch (stored %08x, computed %08x)", id, crc, got)
 		}
-		secs[id] = section{id: id, payload: payload}
+		secs[id] = payload
 	}
-	for _, id := range []uint32{secMeta, secForest, secDomain, secPostOff, secPostings, secStats, secSingles} {
+	for _, id := range requiredSections {
 		if _, ok := secs[id]; !ok {
 			return nil, fmt.Errorf("missing required section %d", id)
 		}
 	}
 
 	s := &Snapshot{data: data, mapped: mapped}
-	if err := json.Unmarshal(secs[secMeta].payload, &s.meta); err != nil {
+	if err := json.Unmarshal(secs[secMeta], &s.meta); err != nil {
 		return nil, fmt.Errorf("meta section: %w", err)
 	}
 	if s.meta.Records < 0 {
 		return nil, fmt.Errorf("meta section: negative record count %d", s.meta.Records)
 	}
-	forest, err := core.ReadBinary(bytes.NewReader(secs[secForest].payload))
+	forest, err := core.ReadBinary(bytes.NewReader(secs[secForest]))
 	if err != nil {
 		return nil, fmt.Errorf("forest section: %w", err)
 	}
 	s.forest = forest
 
-	terms, err := decodeTerms(secs[secDomain].payload)
+	terms, err := decodeTerms(secs[secDomain])
 	if err != nil {
 		return nil, err
 	}
 	n := len(terms)
-	postOff, err := decodeOffsets(secs[secPostOff].payload, n)
+	postOff, err := decodeOffsets(secs[secPostOff], n)
 	if err != nil {
 		return nil, err
 	}
-	post, err := decodePostings(secs[secPostings].payload, postOff, len(forest.Clusters))
+	post, err := decodePostings(secs[secPostings], postOff, len(forest.Clusters))
 	if err != nil {
 		return nil, err
 	}
-	stats, err := decodeStats(secs[secStats].payload, n)
+	s.singles, err = decodeSingles(secs[secSingles], n)
 	if err != nil {
 		return nil, err
 	}
-	s.singles, err = decodeSingles(secs[secSingles].payload, n)
-	if err != nil {
-		return nil, err
-	}
-	s.ix = qindex.FromSlabs(forest, terms, post, postOff, stats, s)
+	s.ix = qindex.FromSlabs(terms, post, postOff, s)
 
-	if orig, ok := secs[secOriginal]; ok {
-		payload, records := orig.payload, s.meta.Records
+	if payload, ok := secs[secOriginal]; ok {
+		records := s.meta.Records
 		s.original = sync.OnceValues(func() (*dataset.Dataset, error) {
 			return decodeOriginal(payload, records)
 		})
@@ -243,19 +242,12 @@ var hostLittleEndian = func() bool {
 
 // Cast eligibility per slab type: the host must be little-endian and the Go
 // in-memory layout must match the on-disk layout exactly (field offsets and
-// total size). On any mismatch — big-endian hosts, 32-bit ints — the decoder
-// falls back to an explicit little-endian copy, the portable path.
+// total size). On any mismatch — big-endian hosts, 32-bit ints — slab falls
+// back to an explicit little-endian copy, the portable path.
 var (
-	canCastTerms = hostLittleEndian && unsafe.Sizeof(dataset.Term(0)) == termSize
-	canCastPost  = hostLittleEndian &&
-		unsafe.Sizeof(qindex.Posting{}) == postingSize &&
-		unsafe.Offsetof(qindex.Posting{}.Cluster) == 0 &&
-		unsafe.Offsetof(qindex.Posting{}.Bits) == 4
-	canCastStats = hostLittleEndian &&
-		unsafe.Sizeof(qindex.TermStats{}) == termStatSize &&
-		unsafe.Offsetof(qindex.TermStats{}.SubrecordOcc) == 0 &&
-		unsafe.Offsetof(qindex.TermStats{}.TermChunkOcc) == 8 &&
-		unsafe.Offsetof(qindex.TermStats{}.Clusters) == 16
+	// canCast32 covers the domain (dataset.Term), offset and posting
+	// (int32) slabs.
+	canCast32      = hostLittleEndian && unsafe.Sizeof(dataset.Term(0)) == int32Size
 	canCastSingles = hostLittleEndian &&
 		unsafe.Sizeof(query.Estimate{}) == estimateSize &&
 		unsafe.Offsetof(query.Estimate{}.Lower) == 0 &&
@@ -263,37 +255,37 @@ var (
 		unsafe.Offsetof(query.Estimate{}.Expected) == 16
 )
 
-// castSlice reinterprets b as a []T without copying. The caller guarantees
-// len(b) == n*sizeof(T) and that the layout matches; alignment is checked
-// here (section offsets are 8-aligned within the file, and both mmap and the
-// Go allocator align the base, but a defensive check costs nothing).
-func castSlice[T any](b []byte, n int) ([]T, bool) {
+// slab returns the section payload b as len(b)/size elements of T: a
+// zero-copy view of b when cast holds and b is aligned for T, otherwise a
+// copy decoded from each size-byte stride by dec. The caller checks that
+// size divides len(b) and, for cast, that T's layout is the on-disk one.
+// Section offsets are 8-aligned within the file and both mmap and the Go
+// allocator align the base, but a defensive alignment check costs nothing.
+func slab[T any](b []byte, size int, cast bool, dec func([]byte) T) []T {
+	n := len(b) / size
 	if n == 0 {
-		return nil, true
+		return nil
 	}
-	p := unsafe.Pointer(unsafe.SliceData(b))
-	if uintptr(p)%unsafe.Alignof(*new(T)) != 0 {
-		return nil, false
+	if p := unsafe.Pointer(unsafe.SliceData(b)); cast && uintptr(p)%unsafe.Alignof(*new(T)) == 0 {
+		return unsafe.Slice((*T)(p), n)
 	}
-	return unsafe.Slice((*T)(p), n), true
+	out := make([]T, n)
+	for i := range out {
+		out[i] = dec(b[i*size:])
+	}
+	return out
 }
 
+// le32 decodes one little-endian 4-byte integer, slab's copy path for the
+// domain, offset and posting sections.
+func le32[T ~int32](b []byte) T { return T(int32(binary.LittleEndian.Uint32(b))) }
+
 func decodeTerms(b []byte) ([]dataset.Term, error) {
-	if len(b)%termSize != 0 {
-		return nil, fmt.Errorf("domain section: %d bytes is not a multiple of %d", len(b), termSize)
+	if len(b)%int32Size != 0 {
+		return nil, fmt.Errorf("domain section: %d bytes is not a multiple of %d", len(b), int32Size)
 	}
-	n := len(b) / termSize
-	terms, ok := []dataset.Term(nil), false
-	if canCastTerms {
-		terms, ok = castSlice[dataset.Term](b, n)
-	}
-	if !ok {
-		terms = make([]dataset.Term, n)
-		for i := range terms {
-			terms[i] = dataset.Term(int32(binary.LittleEndian.Uint32(b[i*termSize:])))
-		}
-	}
-	for i := 1; i < n; i++ {
+	terms := slab(b, int32Size, canCast32, le32[dataset.Term])
+	for i := 1; i < len(terms); i++ {
 		if terms[i] <= terms[i-1] {
 			return nil, fmt.Errorf("domain section: terms not strictly ascending at rank %d", i)
 		}
@@ -302,20 +294,11 @@ func decodeTerms(b []byte) ([]dataset.Term, error) {
 }
 
 func decodeOffsets(b []byte, terms int) ([]int32, error) {
-	if len(b) != (terms+1)*4 {
-		return nil, fmt.Errorf("postoff section: %d bytes for %d terms (want %d)", len(b), terms, (terms+1)*4)
+	if len(b) != (terms+1)*int32Size {
+		return nil, fmt.Errorf("postoff section: %d bytes for %d terms (want %d)", len(b), terms, (terms+1)*int32Size)
 	}
-	off, ok := []int32(nil), false
-	if canCastTerms { // int32 layout == Term layout
-		off, ok = castSlice[int32](b, terms+1)
-	}
-	if !ok {
-		off = make([]int32, terms+1)
-		for i := range off {
-			off[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-		}
-	}
-	if len(off) == 0 || off[0] != 0 {
+	off := slab(b, int32Size, canCast32, le32[int32])
+	if off[0] != 0 {
 		return nil, fmt.Errorf("postoff section: first offset must be 0")
 	}
 	for i := 1; i < len(off); i++ {
@@ -326,37 +309,24 @@ func decodeOffsets(b []byte, terms int) ([]int32, error) {
 	return off, nil
 }
 
-func decodePostings(b []byte, postOff []int32, clusters int) ([]qindex.Posting, error) {
-	if len(b)%postingSize != 0 {
-		return nil, fmt.Errorf("postings section: %d bytes is not a multiple of %d", len(b), postingSize)
+func decodePostings(b []byte, postOff []int32, clusters int) ([]int32, error) {
+	if len(b)%int32Size != 0 {
+		return nil, fmt.Errorf("postings section: %d bytes is not a multiple of %d", len(b), int32Size)
 	}
-	n := len(b) / postingSize
-	if int(postOff[len(postOff)-1]) != n {
+	if n := len(b) / int32Size; int(postOff[len(postOff)-1]) != n {
 		return nil, fmt.Errorf("postings section: %d postings but prefix sums end at %d", n, postOff[len(postOff)-1])
 	}
-	post, ok := []qindex.Posting(nil), false
-	if canCastPost {
-		post, ok = castSlice[qindex.Posting](b, n)
-	}
-	if !ok {
-		post = make([]qindex.Posting, n)
-		for i := range post {
-			post[i] = qindex.Posting{
-				Cluster: int32(binary.LittleEndian.Uint32(b[i*postingSize:])),
-				Bits:    b[i*postingSize+4],
-			}
-		}
-	}
-	// Per-rank lists must be sorted by cluster id with ids in range — the
+	post := slab(b, int32Size, canCast32, le32[int32])
+	// Per-rank lists must be strictly ascending with ids in range — the
 	// invariants IntersectClusters' binary searches and the estimator's
 	// Clusters[ci] lookups rely on.
 	for r := 0; r+1 < len(postOff); r++ {
 		list := post[postOff[r]:postOff[r+1]]
-		for i, p := range list {
-			if p.Cluster < 0 || int(p.Cluster) >= clusters {
-				return nil, fmt.Errorf("postings section: rank %d: cluster id %d out of range [0, %d)", r, p.Cluster, clusters)
+		for i, ci := range list {
+			if ci < 0 || int(ci) >= clusters {
+				return nil, fmt.Errorf("postings section: rank %d: cluster id %d out of range [0, %d)", r, ci, clusters)
 			}
-			if i > 0 && p.Cluster <= list[i-1].Cluster {
+			if i > 0 && ci <= list[i-1] {
 				return nil, fmt.Errorf("postings section: rank %d: posting list not strictly ascending", r)
 			}
 		}
@@ -364,46 +334,17 @@ func decodePostings(b []byte, postOff []int32, clusters int) ([]qindex.Posting, 
 	return post, nil
 }
 
-func decodeStats(b []byte, terms int) ([]qindex.TermStats, error) {
-	if len(b) != terms*termStatSize {
-		return nil, fmt.Errorf("termstats section: %d bytes for %d terms (want %d)", len(b), terms, terms*termStatSize)
-	}
-	if canCastStats {
-		if stats, ok := castSlice[qindex.TermStats](b, terms); ok {
-			return stats, nil
-		}
-	}
-	stats := make([]qindex.TermStats, terms)
-	for i := range stats {
-		base := i * termStatSize
-		stats[i] = qindex.TermStats{
-			SubrecordOcc: int(int64(binary.LittleEndian.Uint64(b[base:]))),
-			TermChunkOcc: int(int64(binary.LittleEndian.Uint64(b[base+8:]))),
-			Clusters:     int(int64(binary.LittleEndian.Uint64(b[base+16:]))),
-		}
-	}
-	return stats, nil
-}
-
 func decodeSingles(b []byte, terms int) ([]query.Estimate, error) {
 	if len(b) != terms*estimateSize {
 		return nil, fmt.Errorf("singles section: %d bytes for %d terms (want %d)", len(b), terms, terms*estimateSize)
 	}
-	if canCastSingles {
-		if singles, ok := castSlice[query.Estimate](b, terms); ok {
-			return singles, nil
+	return slab(b, estimateSize, canCastSingles, func(b []byte) query.Estimate {
+		return query.Estimate{
+			Lower:    int(int64(binary.LittleEndian.Uint64(b))),
+			Upper:    int(int64(binary.LittleEndian.Uint64(b[8:]))),
+			Expected: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
 		}
-	}
-	singles := make([]query.Estimate, terms)
-	for i := range singles {
-		base := i * estimateSize
-		singles[i] = query.Estimate{
-			Lower:    int(int64(binary.LittleEndian.Uint64(b[base:]))),
-			Upper:    int(int64(binary.LittleEndian.Uint64(b[base+8:]))),
-			Expected: math.Float64frombits(binary.LittleEndian.Uint64(b[base+16:])),
-		}
-	}
-	return singles, nil
+	}), nil
 }
 
 // decodeOriginal replays the delta-varint record stream of the original

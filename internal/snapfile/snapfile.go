@@ -5,9 +5,9 @@
 // — persisted as one versioned, sectioned, little-endian file.
 //
 // The format is built for zero-copy recovery. The dense-rank domain, the
-// prefix-sum posting slab and the per-term aggregate/singleton tables are
-// fixed-width little-endian slabs whose byte layout matches the in-memory
-// layout on 64-bit little-endian hosts, so the reader reconstructs
+// prefix-sum offsets, the posting slab of cluster ids and the singleton
+// table are fixed-width little-endian slabs whose byte layout matches the
+// in-memory layout on 64-bit little-endian hosts, so the reader reconstructs
 // qindex/query views as slice casts over a memory mapping of the file:
 // posting reads on a recovered snapshot never materialize the slab into the
 // heap. Variable-length payloads reuse the repository's existing delta-varint
@@ -16,7 +16,7 @@
 //
 // Layout (all integers little-endian):
 //
-//	header (16 bytes): magic "DSNP", u32 version (=1), u32 section count,
+//	header (16 bytes): magic "DSNP", u32 version (=2), u32 section count,
 //	                   u32 reserved (0)
 //	section table    : count × 24 bytes — u32 id, u32 crc32 (IEEE, over the
 //	                   payload), u64 offset, u64 length
@@ -29,11 +29,15 @@
 //	2 forest    V  the published cluster forest, core.WriteBinary bytes
 //	3 domain    F  u32 × |T|: the dense-rank term domain, ascending
 //	4 postoff   F  u32 × (|T|+1): per-rank prefix sums into the posting slab
-//	5 postings  F  8 B × P: i32 cluster id, u8 occurrence bits, 3 B zero pad
-//	6 termstats F  24 B × |T|: i64 subrecord occ, i64 term-chunk occ, i64 clusters
+//	5 postings  F  u32 × P: cluster ids, each rank's list strictly ascending
 //	7 singles   F  24 B × |T|: i64 lower, i64 upper, f64 expected
 //	8 original  V  optional: the retained original records,
 //	               dataset.BinaryRecordWriter framing
+//
+// Id 6 is retired; a reader rejects it like any other id the format does
+// not define, and rejects every other format version (there is no reader
+// for version 1, whose postings were 8 bytes wide: disassod's recovery
+// skips and reports such files).
 //
 // Every section carries its own CRC; a reader verifies all of them before
 // serving anything, so torn or bit-rotted files are detected at open time
@@ -59,15 +63,10 @@ import (
 // Format constants.
 const (
 	magic          = "DSNP"
-	formatVersion  = 1
+	formatVersion  = 2
 	headerSize     = 16
 	tableEntrySize = 24
 	sectionAlign   = 8
-
-	// maxSections bounds the declared table size before any allocation —
-	// far above the eight known ids, low enough that a crafted header cannot
-	// make the reader allocate much on faith.
-	maxSections = 64
 )
 
 // Section ids.
@@ -77,16 +76,18 @@ const (
 	secDomain   = 3
 	secPostOff  = 4
 	secPostings = 5
-	secStats    = 6
 	secSingles  = 7
 	secOriginal = 8
 )
 
-// Fixed-width entry sizes.
+// requiredSections are the sections every snapshot carries. secOriginal is
+// the one optional section; no other id is defined.
+var requiredSections = []uint32{secMeta, secForest, secDomain, secPostOff, secPostings, secSingles}
+
+// Fixed-width entry sizes: the domain, offset and posting slabs hold 4-byte
+// integers, the singleton table Estimates.
 const (
-	termSize     = 4
-	postingSize  = 8
-	termStatSize = 24
+	int32Size    = 4
 	estimateSize = 24
 )
 
@@ -119,8 +120,8 @@ type Contents struct {
 	Meta Meta
 	// Forest is the published cluster forest.
 	Forest *core.Anonymized
-	// Index is the inverted index over Forest; its four slabs are written as
-	// the fixed-width sections.
+	// Index is the inverted index over Forest; its three slabs are written
+	// as the fixed-width sections.
 	Index *qindex.Index
 	// Singles is the estimator's singleton table, in the index's rank order.
 	Singles []query.Estimate
@@ -133,11 +134,11 @@ type Contents struct {
 // contents produce equal bytes on every platform (the golden-file test pins
 // this).
 func (c Contents) Write(w io.Writer) error {
-	terms, post, postOff, stats := c.Index.Slabs()
+	terms, post, postOff := c.Index.Slabs()
 	n := len(terms)
-	if len(postOff) != n+1 || len(stats) != n || len(c.Singles) != n {
-		return fmt.Errorf("snapfile: inconsistent slab sizes: %d terms, %d offsets, %d stats, %d singles",
-			n, len(postOff), len(stats), len(c.Singles))
+	if len(postOff) != n+1 || len(c.Singles) != n {
+		return fmt.Errorf("snapfile: inconsistent slab sizes: %d terms, %d offsets, %d singles",
+			n, len(postOff), len(c.Singles))
 	}
 
 	metaSec, err := json.Marshal(c.Meta)
@@ -155,10 +156,9 @@ func (c Contents) Write(w io.Writer) error {
 	}{
 		{secMeta, metaSec},
 		{secForest, forestBuf.Bytes()},
-		{secDomain, encodeTerms(terms)},
-		{secPostOff, encodeOffsets(postOff)},
-		{secPostings, encodePostings(post)},
-		{secStats, encodeStats(stats)},
+		{secDomain, encodeInt32s(terms)},
+		{secPostOff, encodeInt32s(postOff)},
+		{secPostings, encodeInt32s(post)},
 		{secSingles, encodeSingles(c.Singles)},
 	}
 	if c.Original != nil {
@@ -230,41 +230,12 @@ func putU64(b *bytes.Buffer, v uint64) {
 	b.Write(s[:])
 }
 
-func encodeTerms(terms []dataset.Term) []byte {
-	out := make([]byte, len(terms)*termSize)
-	for i, t := range terms {
-		binary.LittleEndian.PutUint32(out[i*termSize:], uint32(t))
-	}
-	return out
-}
-
-func encodeOffsets(off []int32) []byte {
-	out := make([]byte, len(off)*4)
-	for i, v := range off {
-		binary.LittleEndian.PutUint32(out[i*4:], uint32(v))
-	}
-	return out
-}
-
-func encodePostings(post []qindex.Posting) []byte {
-	out := make([]byte, len(post)*postingSize)
-	for i, p := range post {
-		binary.LittleEndian.PutUint32(out[i*postingSize:], uint32(p.Cluster))
-		out[i*postingSize+4] = p.Bits
-		// Bytes 5..7 stay zero: the padding matches Go's in-memory layout so
-		// the reader can cast the slab, and zeroing it keeps output bytes
-		// deterministic.
-	}
-	return out
-}
-
-func encodeStats(stats []qindex.TermStats) []byte {
-	out := make([]byte, len(stats)*termStatSize)
-	for i, s := range stats {
-		base := i * termStatSize
-		binary.LittleEndian.PutUint64(out[base:], uint64(int64(s.SubrecordOcc)))
-		binary.LittleEndian.PutUint64(out[base+8:], uint64(int64(s.TermChunkOcc)))
-		binary.LittleEndian.PutUint64(out[base+16:], uint64(int64(s.Clusters)))
+// encodeInt32s writes a slab of 4-byte integers little-endian: the domain,
+// offset and posting sections.
+func encodeInt32s[T ~int32](s []T) []byte {
+	out := make([]byte, len(s)*int32Size)
+	for i, v := range s {
+		binary.LittleEndian.PutUint32(out[i*int32Size:], uint32(v))
 	}
 	return out
 }

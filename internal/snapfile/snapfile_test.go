@@ -3,6 +3,7 @@ package snapfile
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand/v2"
 	"os"
@@ -87,10 +88,9 @@ func TestRoundTrip(t *testing.T) {
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Error("forest did not round-trip")
 	}
-	wTerms, wPost, wOff, wStats := c.Index.Slabs()
-	gTerms, gPost, gOff, gStats := s.Index().Slabs()
-	if !slices.Equal(wTerms, gTerms) || !slices.Equal(wPost, gPost) ||
-		!slices.Equal(wOff, gOff) || !slices.Equal(wStats, gStats) {
+	wTerms, wPost, wOff := c.Index.Slabs()
+	gTerms, gPost, gOff := s.Index().Slabs()
+	if !slices.Equal(wTerms, gTerms) || !slices.Equal(wPost, gPost) || !slices.Equal(wOff, gOff) {
 		t.Error("index slabs did not round-trip")
 	}
 	if !slices.Equal(c.Singles, s.Singles()) {
@@ -153,8 +153,8 @@ func TestDeterministicOutput(t *testing.T) {
 
 // goldenSHA256 pins the exact output bytes for the testContents publication.
 // A change here is a format change: bump formatVersion and regenerate
-// testdata/golden.snap (go test -run TestGolden -update).
-const goldenSHA256 = "ce5c01209a8e97b603d51ccdedb59e2c59a2df727a330caa724c0f450c9fe911"
+// testdata/golden.snap (UPDATE_GOLDEN=1 go test -run TestGoldenFile).
+const goldenSHA256 = "3ddde87d6a73ebee0aa67796bbe3b748b8c79b29e81a8cfe57cbd2cb8327df17"
 
 var update = os.Getenv("UPDATE_GOLDEN") != ""
 
@@ -203,10 +203,10 @@ func TestOpenServesFromMapping(t *testing.T) {
 	if !s.Mapped() {
 		t.Skip("platform did not mmap; heap fallback in use")
 	}
-	if !canCastPost {
+	if !canCast32 {
 		t.Skip("posting layout not castable on this platform")
 	}
-	_, post, _, _ := s.Index().Slabs()
+	_, post, _ := s.Index().Slabs()
 	base := uintptr(unsafe.Pointer(unsafe.SliceData(s.data)))
 	p := uintptr(unsafe.Pointer(unsafe.SliceData(post)))
 	if p < base || p >= base+uintptr(len(s.data)) {
@@ -214,19 +214,38 @@ func TestOpenServesFromMapping(t *testing.T) {
 	}
 }
 
-// TestCorruptionDetected flips one byte in every section payload in turn and
-// checks the CRC rejects the file; same for truncations and a bad magic.
+// TestCorruptionDetected damages the file everywhere its structure is
+// declared, walking the parsed section table: every bit of every table
+// entry, one bit inside every section payload, and a tear at every
+// section's start offset must each fail Decode. So must short truncations,
+// a bad magic and an unsupported version.
 func TestCorruptionDetected(t *testing.T) {
 	raw := encode(t, testContents(t))
-	// Flip a byte inside each section payload (past the table).
-	for off := headerSize + 8*tableEntrySize; off < len(raw); off += len(raw) / 37 {
+	count := int(binary.LittleEndian.Uint32(raw[8:]))
+	for i := 0; i < count; i++ {
+		entry := headerSize + i*tableEntrySize
+		for bit := 0; bit < tableEntrySize*8; bit++ {
+			bad := slices.Clone(raw)
+			bad[entry+bit/8] ^= 1 << (bit % 8)
+			if _, err := Decode(bad); err == nil {
+				t.Errorf("table entry %d: flipping bit %d not detected", i, bit)
+			}
+		}
+		off := int(binary.LittleEndian.Uint64(raw[entry+8:]))
+		length := int(binary.LittleEndian.Uint64(raw[entry+16:]))
+		if length == 0 {
+			t.Fatalf("table entry %d: empty section leaves no payload to damage", i)
+		}
 		bad := slices.Clone(raw)
-		bad[off] ^= 0x40
+		bad[off+length/2] ^= 0x40
 		if _, err := Decode(bad); err == nil {
-			t.Errorf("corruption at offset %d not detected", off)
+			t.Errorf("table entry %d: payload flip at offset %d not detected", i, off+length/2)
+		}
+		if _, err := Decode(raw[:off]); err == nil {
+			t.Errorf("table entry %d: tear at section start %d not detected", i, off)
 		}
 	}
-	for _, cut := range []int{0, 3, headerSize - 1, headerSize + 5, len(raw) / 2, len(raw) - 1} {
+	for _, cut := range []int{0, 3, headerSize - 1, headerSize + 5} {
 		if _, err := Decode(raw[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes not detected", cut)
 		}
@@ -268,9 +287,9 @@ func FuzzSnapfileReader(f *testing.F) {
 		}
 		// The parser accepted the bytes: everything reachable must hold up.
 		_ = s.Meta()
-		terms, post, postOff, stats := s.Index().Slabs()
-		if len(postOff) != len(terms)+1 || len(stats) != len(terms) {
-			t.Fatalf("inconsistent slabs: %d terms, %d offsets, %d stats", len(terms), len(postOff), len(stats))
+		terms, post, postOff := s.Index().Slabs()
+		if len(postOff) != len(terms)+1 {
+			t.Fatalf("inconsistent slabs: %d terms, %d offsets", len(terms), len(postOff))
 		}
 		if int(postOff[len(terms)]) != len(post) {
 			t.Fatalf("prefix sums end at %d, %d postings", postOff[len(terms)], len(post))

@@ -226,53 +226,75 @@ func BenchmarkAnonymizeEndToEndParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAnonymizeStream measures the sharded streaming engine on a
-// dataset roughly 4× its memory budget: end-to-end wall time for the
-// counting pass, file-based shard routing, per-shard pipeline and chunked
-// output assembly. Peak heap over the run is attached as a custom metric —
-// the bounded-memory contract itself is asserted by the internal/shard
-// tests.
+// BenchmarkAnonymizeStream measures the sharded streaming engine under a
+// 1 MiB memory budget, end to end: the counting pass, shard planning, the
+// per-shard pipeline and chunked output assembly. Two shapes run:
+//
+//   - quest40k: 40k Quest records (1k-term domain, average length 8), about
+//     4× the budget, so the plan's root routes through spill files;
+//   - publish: the end-to-end benchmark's streamed publish, 20k Quest
+//     records (5k-term domain, average length 10, Quest seed 1), whose
+//     HORPART chain is planned in memory.
+//
+// Peak heap and the bytes staged in temp files (Stats.SpillBytes) are
+// attached as custom metrics; the bounded-memory contract itself is
+// asserted by the internal/shard tests.
 func BenchmarkAnonymizeStream(b *testing.B) {
-	cfg := quest.DefaultConfig()
-	cfg.NumTransactions = 40_000
-	cfg.DomainSize = 1_000
-	cfg.AvgTransLen = 8
-	cfg.Seed = 42
-	g, err := quest.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var text bytes.Buffer
-	if err := disasso.WriteIDs(&text, g.Generate()); err != nil {
-		b.Fatal(err)
-	}
-	input := text.Bytes()
-	// ~40k records × ~88 B/record working estimate ≈ 3.4 MiB footprint.
-	const budget = 1 << 20
-	b.ReportAllocs()
-	b.SetBytes(int64(len(input)))
-	b.ResetTimer()
-	var peak uint64
-	for i := 0; i < b.N; i++ {
-		var out bytes.Buffer
-		st, err := disasso.AnonymizeStream(bytes.NewReader(input), &out, disasso.StreamOptions{
-			Core:         disasso.Options{K: 5, M: 2, Seed: 1},
-			MemoryBudget: budget,
-			TempDir:      b.TempDir(),
+	for _, shape := range []struct {
+		name   string
+		n      int
+		domain int
+		avgLen float64
+		seed   uint64
+	}{
+		{"quest40k", 40_000, 1_000, 8, 42},
+		{"publish", 20_000, 5_000, 10, 1},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			cfg := quest.DefaultConfig()
+			cfg.NumTransactions = shape.n
+			cfg.DomainSize = shape.domain
+			cfg.AvgTransLen = shape.avgLen
+			cfg.Seed = shape.seed
+			g, err := quest.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var text bytes.Buffer
+			if err := disasso.WriteIDs(&text, g.Generate()); err != nil {
+				b.Fatal(err)
+			}
+			input := text.Bytes()
+			const budget = 1 << 20
+			b.ReportAllocs()
+			b.SetBytes(int64(len(input)))
+			b.ResetTimer()
+			var peak uint64
+			var spill int64
+			for i := 0; i < b.N; i++ {
+				var out bytes.Buffer
+				st, err := disasso.AnonymizeStream(bytes.NewReader(input), &out, disasso.StreamOptions{
+					Core:         disasso.Options{K: 5, M: 2, Seed: 1},
+					MemoryBudget: budget,
+					TempDir:      b.TempDir(),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !st.Spilled {
+					b.Fatal("benchmark dataset did not exceed the budget")
+				}
+				spill = st.SpillBytes
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				if ms.HeapAlloc > peak {
+					peak = ms.HeapAlloc
+				}
+			}
+			b.ReportMetric(float64(peak)/(1<<20), "peak-MiB")
+			b.ReportMetric(float64(spill)/(1<<20), "spill-MiB")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !st.Spilled {
-			b.Fatal("benchmark dataset did not exceed the budget")
-		}
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc > peak {
-			peak = ms.HeapAlloc
-		}
 	}
-	b.ReportMetric(float64(peak)/(1<<20), "peak-MiB")
 }
 
 // --- Delta republish: incremental vs from-scratch ---

@@ -15,8 +15,9 @@
 //	disasso -verify anonymized.json -in data.txt -breaches
 //
 // With -stream the input is anonymized by the sharded streaming engine in
-// bounded memory (see -mem-budget), spilling shards to temp files; the
-// published bytes are identical to the in-memory path at equal options.
+// bounded memory (see -mem-budget): once the input passes half the budget,
+// all of it spills to temp files. The published bytes are identical to the
+// in-memory path at equal options.
 //
 // With -breaches the output is a cover-problem breach audit of the
 // publication (either the one just produced, or the -verify file) as JSON,

@@ -170,26 +170,32 @@ func newRepubState(records []dataset.Record, seq []uint64, nextSeq uint64, opts 
 		st.id[t] = int32(i)
 		_, st.excluded[i] = opts.Sensitive[t]
 	}
-	p := st.planner(slices.Clone(st.excluded), nil)
+	var leaves []PlanLeaf[memSource]
+	p := st.planner(slices.Clone(st.excluded), nil, &leaves)
 	root, err := p.plan(memSource{st: st, records: records, seq: seq}, nil)
 	if err != nil {
 		return nil, err
 	}
 	st.root = root
-	st.shards = make([]*repubShard, len(p.leaves))
-	for i, l := range p.leaves {
+	st.shards = make([]*repubShard, len(leaves))
+	for i, l := range leaves {
 		st.shards[i] = newRepubShard(l)
 	}
 	return st, nil
 }
 
 // planner returns a plan recursion over the state's universe that retains
-// the supports of every node it decides. ignore and path are the context of
-// the node it starts from; ignore is mutated and restored.
-func (st *RepubState) planner(ignore []bool, path []int32) *planner[memSource] {
+// the supports of every node it decides and appends the leaves to *leaves.
+// ignore and path are the context of the node it starts from; ignore is
+// mutated and restored.
+func (st *RepubState) planner(ignore []bool, path []int32, leaves *[]PlanLeaf[memSource]) *planner[memSource] {
 	return &planner[memSource]{
 		terms: st.terms, maxShard: st.opts.MaxShardRecords, k: st.opts.K,
 		ignore: ignore, path: path, retain: true,
+		emit: func(l PlanLeaf[memSource]) error {
+			*leaves = append(*leaves, l)
+			return nil
+		},
 	}
 }
 
@@ -554,7 +560,8 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 	// the context a from-scratch run would reach its subtree with.
 	var dirty []int
 	replanned := 0
-	p := ns.planner(slices.Clone(ns.excluded), nil)
+	var leaves []PlanLeaf[memSource]
+	p := ns.planner(slices.Clone(ns.excluded), nil, &leaves)
 
 	// replant rebuilds the plan subtree rooted at old: its leaves' records
 	// are merged back into insertion (seq) order, the subtree's slice of the
@@ -586,15 +593,15 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 		if err != nil {
 			return nil, err
 		}
-		p.leaves, p.first = nil, lo
+		leaves, p.next = nil, lo
 		nd, err := p.plan(memSource{st: ns, records: records, seq: seq}, counts)
 		if err != nil {
 			return nil, err
 		}
-		if len(p.leaves) != hi-lo {
+		if len(leaves) != hi-lo {
 			return nil, errShardShift
 		}
-		for i, l := range p.leaves {
+		for i, l := range leaves {
 			si := lo + i
 			if old := st.shards[si]; slices.Equal(old.seq, l.Source.seq) && samePathSet(old.path, l.Path) {
 				continue // runShard would reproduce old.published: keep the shard

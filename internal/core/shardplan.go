@@ -129,24 +129,25 @@ type planner[S PlanSource[S]] struct {
 	retain  bool
 	holdCap int64
 	held    int64
-	leaves  []PlanLeaf[S]
-	first   int // the shard number of leaves[0]
+	// emit receives each leaf as it is decided, in preorder; next is the
+	// shard number the next leaf gets.
+	emit func(PlanLeaf[S]) error
+	next int
 }
 
-// Plan cuts the records behind root into the shard plan of opts and returns
-// the shards in preorder: the streaming engine's entry to the recursion.
-// counts holds root's supports, terms the index → global-term table and
-// exclude the terms never usable for splits. No node keeps its supports,
-// and at most holdCap bytes of them are held across with-subtrees.
-func Plan[S PlanSource[S]](root S, counts []int32, terms []dataset.Term, exclude []bool, opts Options, holdCap int64) ([]PlanLeaf[S], error) {
+// Plan cuts the records behind root into the shard plan of opts and hands
+// the shards to emit in preorder as it decides them: the streaming engine's
+// entry to the recursion. counts holds root's supports, terms the index →
+// global-term table and exclude the terms never usable for splits. No node
+// keeps its supports, and at most holdCap bytes of them are held across
+// with-subtrees.
+func Plan[S PlanSource[S]](root S, counts []int32, terms []dataset.Term, exclude []bool, opts Options, holdCap int64, emit func(PlanLeaf[S]) error) error {
 	p := &planner[S]{
 		terms: terms, maxShard: opts.MaxShardRecords, k: opts.K,
-		ignore: slices.Clone(exclude), holdCap: holdCap,
+		ignore: slices.Clone(exclude), holdCap: holdCap, emit: emit,
 	}
-	if _, err := p.plan(root, counts); err != nil {
-		return nil, err
-	}
-	return p.leaves, nil
+	_, err := p.plan(root, counts)
+	return err
 }
 
 // decide is the planner's shardCut, under its current ignore set.
@@ -174,9 +175,9 @@ func (p *planner[S]) plan(src S, counts []int32) (*planNode, error) {
 	}
 	a, sup, split := p.decide(nd.n, counts)
 	if !split {
-		nd.shard = p.first + len(p.leaves)
-		p.leaves = append(p.leaves, PlanLeaf[S]{Source: src, Path: slices.Clone(p.path)})
-		return nd, nil
+		nd.shard = p.next
+		p.next++
+		return nd, p.emit(PlanLeaf[S]{Source: src, Path: slices.Clone(p.path)})
 	}
 	nd.term, nd.sup = a, sup
 	with, without, withCounts, err := src.Split(a, sup)

@@ -13,9 +13,10 @@ import (
 // terms survive) and every subsequent term as the gap to its predecessor —
 // always ≥ 1 for a normalized record. EncodeRecord and DecodeRecordTerms are
 // the one codec of that layout: the streaming engine's spill files frame it
-// standalone (BinaryRecordWriter/BinaryRecordReader), so shard files can be
-// written and re-read record by record with bounded memory, and the
-// published binary format (internal/core) embeds it for every chunk record.
+// standalone (BinaryRecordWriter/BinaryRecordReader), so records can be
+// written and re-read one by one with bounded memory, a RecordSlab holds it
+// in memory, and the published binary format (internal/core) embeds it for
+// every chunk record.
 
 // EncodeRecord emits one normalized record through put: its length, then its
 // delta-encoded terms.
@@ -71,6 +72,75 @@ func DecodeRecordTerms(get func() (uint64, error), n uint64, dst Record) (Record
 		dst = append(dst, Term(cur))
 	}
 	return dst, nil
+}
+
+// RecordSlab holds records back to back in the codec's layout, each
+// addressed by its start offset; the streaming engine plans the records of a
+// shard-plan node in one. Its readers trust the bytes, which only Append
+// writes, and read the first term's bit pattern as a gap from 0, which is its
+// value only for a non-negative term: a slab holds records of dense ids.
+type RecordSlab []byte
+
+// Append encodes r behind the slab's records, at offset len(s).
+func (s RecordSlab) Append(r Record) RecordSlab {
+	_ = EncodeRecord(func(v uint64) error { // cannot fail
+		s = binary.AppendUvarint(s, v)
+		return nil
+	}, r)
+	return s
+}
+
+// Has reports whether the record at off holds t, decoding it only up to t:
+// the terms ascend.
+func (s RecordSlab) Has(off int, t Term) bool {
+	n, i := s.uvarint(off)
+	var cur uint64
+	for ; n > 0; n-- {
+		var v uint64
+		v, i = s.uvarint(i)
+		if cur += v; cur >= uint64(t) {
+			return cur == uint64(t)
+		}
+	}
+	return false
+}
+
+// Count adds one to counts[t] for every term t of the record at off.
+func (s RecordSlab) Count(off int, counts []int32) {
+	n, i := s.uvarint(off)
+	var t uint64
+	for ; n > 0; n-- {
+		var v uint64
+		v, i = s.uvarint(i)
+		t += v
+		counts[t]++
+	}
+}
+
+// End returns the offset just past the record at off.
+func (s RecordSlab) End(off int) int {
+	n, i := s.uvarint(off)
+	for ; n > 0; n-- {
+		_, i = s.uvarint(i)
+	}
+	return i
+}
+
+// uvarint decodes the varint at s[i:] and returns the offset past it. It
+// trusts the bytes, so unlike binary.Uvarint it checks for no overflow, and
+// the compiler inlines it into the readers' loops. Over binary.Uvarint,
+// BenchmarkAnonymizeStream/publish (whose slab's 220k varints are all one or
+// two bytes) took 294 rather than 256 ms/op, median of 10 on a 2-vCPU VM.
+func (s RecordSlab) uvarint(i int) (uint64, int) {
+	var v uint64
+	for shift := 0; ; shift += 7 {
+		b := s[i]
+		i++
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return v, i
+		}
+	}
 }
 
 // BinaryRecordWriter streams records into a spill file.

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -116,6 +117,64 @@ func TestBinaryRecordTruncated(t *testing.T) {
 		rr := NewBinaryRecordReader(bytes.NewReader(full[:cut]))
 		if _, err := rr.Next(nil); err == nil {
 			t.Fatalf("cut at %d: truncated record decoded without error", cut)
+		}
+	}
+}
+
+func TestRecordSlab(t *testing.T) {
+	// Dense ids whose values and gaps need one, two and three varint bytes.
+	records := []Record{
+		{},
+		NewRecord(0),
+		NewRecord(1, 2, 3),
+		NewRecord(5, 127, 128, 16383, 16384, 20000),
+		NewRecord(300),
+		NewRecord(0, 20000),
+	}
+	var slab RecordSlab
+	var offs []int
+	for _, r := range records {
+		offs = append(offs, len(slab))
+		slab = slab.Append(r)
+	}
+	// The slab is the spill files' layout, unframed.
+	var spill bytes.Buffer
+	w := NewBinaryRecordWriter(&spill)
+	for _, r := range records {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(slab, spill.Bytes()) {
+		t.Fatalf("slab % x != spill % x", []byte(slab), spill.Bytes())
+	}
+	probes := []Term{-1, 0, 1, 2, 3, 4, 5, 126, 127, 128, 129, 300, 16383, 16384, 19999, 20000, 20001}
+	for i, r := range records {
+		end := len(slab)
+		if i+1 < len(offs) {
+			end = offs[i+1]
+		}
+		if got := slab.End(offs[i]); got != end {
+			t.Errorf("record %d: End = %d, want %d", i, got, end)
+		}
+		for _, p := range probes {
+			if got := slab.Has(offs[i], p); got != r.Contains(p) {
+				t.Errorf("record %d %v: Has(%d) = %v", i, r, p, got)
+			}
+		}
+		counts := make([]int32, 20001)
+		counts[7] = 2
+		slab.Count(offs[i], counts)
+		want := make([]int32, len(counts))
+		want[7] = 2
+		for _, term := range r {
+			want[term]++
+		}
+		if !slices.Equal(counts, want) {
+			t.Errorf("record %d %v: Count disagrees", i, r)
 		}
 	}
 }

@@ -12,30 +12,34 @@
 // unmodified core pipeline, published and discarded independently:
 //
 //  1. a first counting pass streams the records, accumulating per-term
-//     supports (never materializing the dataset) and spilling records to a
-//     temp file once the memory budget is reached;
-//  2. the spilled records are routed into shard files by core.Plan, the
-//     shard-plan recursion the in-memory path runs too, which applies
-//     HORPART's most-frequent-term rule until each shard is at most
-//     MaxShardRecords; here each split streams a node's spill file into two;
+//     supports (never materializing the dataset) and staging records in
+//     half the memory budget, past which they all spill to one root file;
+//  2. core.Plan, the shard-plan recursion the in-memory path runs too,
+//     applies HORPART's most-frequent-term rule until each shard is at most
+//     MaxShardRecords. A node whose records fit, as dense ids, in the half
+//     of the budget pass 1 staged in (the planning share) is loaded once into
+//     an in-memory slab and its whole subtree is split there; only nodes that
+//     do not fit stream their file into two per split. Leaves arrive in
+//     preorder and are appended to one shard-input file;
 //  3. shards run through the core pipeline in parallel (par.DoWorker), each
-//     worker holding one shard in memory, staging published clusters to
-//     per-shard body files via the chunked writers;
-//  4. the publication is assembled by streaming the staged bodies, in shard
-//     order, behind the WriteBinary (or WriteJSON) header.
+//     worker holding one shard in memory, read from its range of the
+//     shard-input file, and appending its published clusters to the
+//     worker's own body file via the chunked writers;
+//  4. the publication is assembled by copying the staged body ranges, in
+//     shard order, behind the WriteBinary (or WriteJSON) header.
 //
 // When the input fits the budget outright nothing spills and the engine
 // degenerates to core.Anonymize plus a monolithic write.
 package shard
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"disasso/internal/core"
@@ -79,12 +83,9 @@ type Options struct {
 
 // Stats reports what a streaming run did.
 type Stats struct {
-	Records int // records read
-	Terms   int // distinct terms (|T|)
-	// Shards counts the spill-path processing units; it is 1 whenever the
-	// input fit the budget (the in-memory path then runs, which still cuts
-	// shards internally per the resolved ShardRecords).
-	Shards       int
+	Records      int   // records read
+	Terms        int   // distinct terms (|T|)
+	Shards       int   // shards of the plan
 	Clusters     int   // top-level clusters published
 	ShardRecords int   // the shard cut used (derived or explicit)
 	Spilled      bool  // whether the input exceeded the budget
@@ -97,17 +98,57 @@ type Stats struct {
 // same effective options (including the derived MaxShardRecords) and writing
 // the result with WriteBinary or WriteJSON.
 func Anonymize(r io.Reader, w io.Writer, opts Options) (Stats, error) {
+	e := &engine{opts: opts}
+	return e.run(r, w)
+}
+
+// engine carries one streaming run.
+type engine struct {
+	opts   Options
+	copts  core.Options
+	budget int64
+	// planShare bounds a resident plan node: its slab plus 8 bytes a record
+	// for the record offsets and the partition scratch.
+	planShare int64
+
+	dir        string // temp dir, created lazily
+	tmpSeq     int
+	numRecords int
+	totalTerms int64
+
+	supports map[dataset.Term]int32
+	dom      *dataset.DenseDomain
+
+	// Pass-1 record staging: in memory until the budget forces a spill.
+	buffered      []dataset.Record
+	bufferedBytes int64
+	spill         *spillWriter
+
+	input      *stagingFile // every shard's dense records, in plan order
+	shards     []fileShard
+	bodies     []*os.File // one per worker: its shards' published clusters
+	spillBytes atomic.Int64
+
+	// What the run did, for the package tests: temp files created, and
+	// splits made in memory and through files.
+	files, slabSplits, fileSplits int
+}
+
+// run is Anonymize on a fresh engine.
+func (e *engine) run(r io.Reader, w io.Writer) (Stats, error) {
 	var st Stats
-	copts, err := core.ShardOptions(opts.Core)
+	copts, err := core.ShardOptions(e.opts.Core)
 	if err != nil {
 		return st, err
 	}
-	budget := opts.MemoryBudget
-	if budget <= 0 {
-		budget = DefaultMemoryBudget
+	e.copts = copts
+	e.budget = e.opts.MemoryBudget
+	if e.budget <= 0 {
+		e.budget = DefaultMemoryBudget
 	}
+	// Offsets into a slab are int32.
+	e.planShare = min(e.budget/2, math.MaxInt32)
 
-	e := &engine{opts: opts, copts: copts, budget: budget}
 	defer e.cleanup()
 	if err := e.countAndSpill(r); err != nil {
 		return st, err
@@ -137,29 +178,34 @@ func Anonymize(r io.Reader, w io.Writer, opts Options) (Stats, error) {
 	if e.spill == nil {
 		// Everything fits: the in-memory path IS the specification.
 		d := dataset.FromRecords(e.buffered)
-		a, err := core.Anonymize(d, copts)
+		a, rs, err := core.AnonymizeWithState(d, copts)
 		if err != nil {
 			return st, err
 		}
-		st.Shards = 1
+		st.Shards = rs.NumShards()
 		st.Clusters = len(a.Clusters)
-		if opts.JSON {
+		if e.opts.JSON {
 			return st, core.WriteJSON(w, a)
 		}
 		return st, core.WriteBinary(w, a)
 	}
 
-	// Supports held across with-subtrees while planning are capped at a
-	// quarter of the budget; past it the without side recounts its file.
 	exclude, sensitive := core.SensitiveBits(copts, e.dom)
-	root := spillFile{e: e, path: e.spill.f.Name(), n: e.numRecords}
-	leaves, err := core.Plan(root, counts, terms, exclude, copts, e.budget/4)
+	f, err := e.create("input")
 	if err != nil {
 		return st, err
 	}
-	for _, l := range leaves {
-		e.shards = append(e.shards, fileShard{spillFile: l.Source, pathTerms: l.Path})
+	e.input = &stagingFile{f: f, bw: bufio.NewWriter(f)}
+	// Supports held across with-subtrees while planning are capped at a
+	// quarter of the budget; past it the without side recounts its node.
+	root := &source{e: e, n: e.numRecords, path: e.spill.f.Name(), size: e.spill.cw.n}
+	if err := core.Plan(root, counts, terms, exclude, copts, e.budget/4, e.emit); err != nil {
+		return st, err
 	}
+	if err := e.input.bw.Flush(); err != nil {
+		return st, err
+	}
+	e.spillBytes.Add(e.input.n)
 	st.Shards = len(e.shards)
 
 	if err := e.processShards(exclude, sensitive); err != nil {
@@ -170,29 +216,6 @@ func Anonymize(r io.Reader, w io.Writer, opts Options) (Stats, error) {
 	}
 	st.SpillBytes = e.spillBytes.Load()
 	return st, e.assemble(w)
-}
-
-// engine carries one streaming run.
-type engine struct {
-	opts   Options
-	copts  core.Options
-	budget int64
-
-	dir        string // temp dir, created lazily
-	tmpSeq     int
-	numRecords int
-	totalTerms int64
-
-	supports map[dataset.Term]int32
-	dom      *dataset.DenseDomain
-
-	// Pass-1 record staging: in memory until the budget forces a spill.
-	buffered      []dataset.Record
-	bufferedBytes int64
-	spill         *spillWriter
-
-	shards     []fileShard
-	spillBytes atomic.Int64
 }
 
 // countingWriter tracks the bytes written through it, feeding
@@ -208,15 +231,32 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// fileShard is one planned shard: its spill file and the split-path terms
-// its HORPART continuation must ignore.
+// stagingFile is a temp file written sequentially through a buffer; n counts
+// the bytes written, so it is also the offset of the next write.
+type stagingFile struct {
+	f  *os.File
+	bw *bufio.Writer
+	n  int64
+}
+
+func (sf *stagingFile) Write(p []byte) (int, error) {
+	n, err := sf.bw.Write(p)
+	sf.n += int64(n)
+	return n, err
+}
+
+// fileShard is one planned shard: its range of the shard-input file, the
+// split-path terms its HORPART continuation must ignore, and where its
+// published clusters are staged.
 type fileShard struct {
-	spillFile
+	off, size int64
+	n         int
 	pathTerms []int32
 
-	bodyPath string // staged published clusters
-	clusters int
-	err      error
+	body             int // the worker whose body file holds the clusters
+	bodyOff, bodyLen int64
+	clusters         int
+	err              error
 }
 
 // spillWriter wraps a temp file behind the binary record codec.
@@ -226,28 +266,38 @@ type spillWriter struct {
 	rw *dataset.BinaryRecordWriter
 }
 
-func (e *engine) ensureDir() error {
-	if e.dir != "" {
-		return nil
+// create makes a new temp file in the run's directory.
+func (e *engine) create(kind string) (*os.File, error) {
+	if e.dir == "" {
+		dir, err := os.MkdirTemp(e.opts.TempDir, "disasso-shard-")
+		if err != nil {
+			return nil, fmt.Errorf("shard: temp dir: %w", err)
+		}
+		e.dir = dir
 	}
-	dir, err := os.MkdirTemp(e.opts.TempDir, "disasso-shard-")
-	if err != nil {
-		return fmt.Errorf("shard: temp dir: %w", err)
-	}
-	e.dir = dir
-	return nil
-}
-
-func (e *engine) tmpPath(kind string) string {
 	e.tmpSeq++
-	return filepath.Join(e.dir, fmt.Sprintf("%s-%06d.rec", kind, e.tmpSeq))
+	f, err := os.Create(filepath.Join(e.dir, fmt.Sprintf("%s-%06d.rec", kind, e.tmpSeq)))
+	if err != nil {
+		return nil, fmt.Errorf("shard: %s: %w", kind, err)
+	}
+	e.files++
+	return f, nil
 }
 
+// cleanup closes and removes every temp file. It runs on success and error
+// paths alike: every staged byte has been copied out or the run already
+// failed, so a close result cannot change the outcome.
 func (e *engine) cleanup() {
-	if e.spill != nil && e.spill.f != nil {
-		// Error-path cleanup: the run already failed (or the spill was
-		// fully read back); the close result cannot change the outcome.
+	if e.spill != nil {
 		_ = e.spill.f.Close()
+	}
+	if e.input != nil {
+		_ = e.input.f.Close()
+	}
+	for _, f := range e.bodies {
+		if f != nil {
+			_ = f.Close()
+		}
 	}
 	if e.dir != "" {
 		os.RemoveAll(e.dir)
@@ -310,13 +360,9 @@ func (e *engine) countAndSpill(r io.Reader) error {
 // startSpill drains the in-memory staging buffer to the root spill file and
 // switches pass 1 into spill mode.
 func (e *engine) startSpill() error {
-	if err := e.ensureDir(); err != nil {
-		return err
-	}
-	path := filepath.Join(e.dir, "root.rec")
-	f, err := os.Create(path)
+	f, err := e.create("root")
 	if err != nil {
-		return fmt.Errorf("shard: spill: %w", err)
+		return err
 	}
 	cw := &countingWriter{w: f}
 	e.spill = &spillWriter{f: f, cw: cw, rw: dataset.NewBinaryRecordWriter(cw)}
@@ -356,11 +402,20 @@ func (e *engine) resolveShardSize() {
 }
 
 // processShards runs the core pipeline over every planned shard on the
-// worker pool, staging each shard's published clusters to a body file.
+// worker pool, each worker appending its shards' published clusters to its
+// own body file.
 func (e *engine) processShards(exclude, sensitive []bool) error {
-	workers := e.copts.Parallel
-	var mu sync.Mutex // guards tmpPath's sequence
-	par.DoWorker(workers, len(e.shards), func(_, i int) {
+	workers := min(max(e.copts.Parallel, 1), len(e.shards))
+	e.bodies = make([]*os.File, workers)
+	for w := range e.bodies {
+		f, err := e.create("body")
+		if err != nil {
+			return err
+		}
+		e.bodies[w] = f
+	}
+	ends := make([]int64, workers) // each body file's length
+	par.DoWorker(workers, len(e.shards), func(w, i int) {
 		sh := &e.shards[i]
 		records, err := e.loadShard(sh)
 		if err != nil {
@@ -375,12 +430,10 @@ func (e *engine) processShards(exclude, sensitive []bool) error {
 		nodes := core.AnonymizeShard(core.Shard{Records: records, Ignore: ignore, Index: i}, e.dom.Len(), sensitive, e.copts)
 		core.RestoreClusters(nodes, e.dom)
 
-		mu.Lock()
-		sh.bodyPath = e.tmpPath("body")
-		mu.Unlock()
 		sh.clusters = len(nodes)
-		sh.err = e.stageBody(sh.bodyPath, nodes)
-		os.Remove(sh.path)
+		sh.body, sh.bodyOff = w, ends[w]
+		sh.bodyLen, sh.err = e.stageBody(e.bodies[w], nodes)
+		ends[w] += sh.bodyLen
 	})
 	for i := range e.shards {
 		if e.shards[i].err != nil {
@@ -390,14 +443,10 @@ func (e *engine) processShards(exclude, sensitive []bool) error {
 	return nil
 }
 
-// loadShard materializes one shard file as dense records.
+// loadShard materializes one shard's range of the shard-input file as dense
+// records.
 func (e *engine) loadShard(sh *fileShard) ([]dataset.Record, error) {
-	f, err := os.Open(sh.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rr := dataset.NewBinaryRecordReader(f)
+	rr := dataset.NewBinaryRecordReader(io.NewSectionReader(e.input.f, sh.off, sh.size))
 	records := make([]dataset.Record, 0, sh.n)
 	for {
 		rec, err := rr.Next(nil)
@@ -405,77 +454,80 @@ func (e *engine) loadShard(sh *fileShard) ([]dataset.Record, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("shard: load %s: %w", filepath.Base(sh.path), err)
+			return nil, fmt.Errorf("shard: load shard at %d: %w", sh.off, err)
 		}
 		records = append(records, rec)
 	}
 	if len(records) != sh.n {
-		return nil, fmt.Errorf("shard: %s holds %d records, planned %d", filepath.Base(sh.path), len(records), sh.n)
-	}
-	if !sh.dense {
-		records = e.dom.RemapAll(records)
+		return nil, fmt.Errorf("shard: shard at %d holds %d records, planned %d", sh.off, len(records), sh.n)
 	}
 	return records, nil
 }
 
-// stageBody writes one shard's published clusters to a body file in the
-// output format's per-cluster framing. JSON bodies carry a leading ",\n    "
-// separator before every cluster; assembly strips the very first comma.
-func (e *engine) stageBody(path string, nodes []*core.ClusterNode) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
+// stageBody appends one shard's published clusters to a body file in the
+// output format's per-cluster framing and returns the bytes written. JSON
+// bodies carry a leading ",\n    " separator before every cluster; assembly
+// strips the very first comma.
+func (e *engine) stageBody(f *os.File, nodes []*core.ClusterNode) (int64, error) {
+	cw := &countingWriter{w: f}
+	var err error
 	if e.opts.JSON {
-		if err := writeJSONBody(f, nodes); err != nil {
-			return err
+		bw := bufio.NewWriter(cw)
+		if err = writeJSONBody(bw, nodes); err == nil {
+			err = bw.Flush()
 		}
 	} else {
-		cw := core.NewBinaryClusterWriter(f)
+		bw := core.NewBinaryClusterWriter(cw)
 		for _, n := range nodes {
-			if err := cw.Append(n); err != nil {
-				return err
+			if err = bw.Append(n); err != nil {
+				break
 			}
 		}
-		if err := cw.Flush(); err != nil {
-			return err
+		if err == nil {
+			err = bw.Flush()
 		}
 	}
-	if fi, err := f.Stat(); err == nil {
-		e.spillBytes.Add(fi.Size())
-	}
-	return f.Close()
+	e.spillBytes.Add(cw.n)
+	return cw.n, err
 }
 
-// assemble streams the staged bodies behind the format header, in shard
-// order, producing the exact WriteBinary/WriteJSON bytes.
+// assemble copies the staged bodies behind the format header, in shard
+// order, producing the exact WriteBinary/WriteJSON bytes (the envelope
+// pieces come from the same core helpers every path shares).
 func (e *engine) assemble(w io.Writer) error {
-	if e.opts.JSON {
-		return e.assembleJSON(w)
-	}
 	total := 0
 	for i := range e.shards {
 		total += e.shards[i].clusters
 	}
-	if err := core.WriteBinaryHeader(w, e.copts.K, e.copts.M, total); err != nil {
-		return err
-	}
-	for i := range e.shards {
-		if err := copyFile(w, e.shards[i].bodyPath); err != nil {
+	if !e.opts.JSON {
+		if err := core.WriteBinaryHeader(w, e.copts.K, e.copts.M, total); err != nil {
 			return err
 		}
-		os.Remove(e.shards[i].bodyPath)
+	} else {
+		if err := core.WriteJSONHeader(w, e.copts.K, e.copts.M); err != nil {
+			return err
+		}
+		if total == 0 {
+			return core.WriteJSONTrailer(w, 0)
+		}
+		if _, err := io.WriteString(w, "["); err != nil {
+			return err
+		}
+	}
+	first := e.opts.JSON
+	for i := range e.shards {
+		sh := &e.shards[i]
+		off, n := sh.bodyOff, sh.bodyLen
+		if first && sh.clusters > 0 {
+			// Drop the first cluster's leading comma: "[\n    {...".
+			off, n, first = off+1, n-1, false
+		}
+		if _, err := io.Copy(w, io.NewSectionReader(e.bodies[sh.body], off, n)); err != nil {
+			return err
+		}
+	}
+	if e.opts.JSON {
+		return core.WriteJSONTrailer(w, total)
 	}
 	return nil
-}
-
-func copyFile(w io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = io.Copy(w, f)
-	return err
 }

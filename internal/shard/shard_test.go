@@ -8,6 +8,7 @@ import (
 
 	"disasso/internal/core"
 	"disasso/internal/dataset"
+	"disasso/internal/quest"
 )
 
 // genDataset builds a deterministic random dataset and its text encoding.
@@ -43,6 +44,19 @@ func inMemoryBinary(t *testing.T, d *dataset.Dataset, opts core.Options) []byte 
 	return buf.Bytes()
 }
 
+// runEngine streams text through a fresh engine and returns the engine too,
+// so a test can read its counters.
+func runEngine(t *testing.T, text string, opts Options) ([]byte, Stats, *engine) {
+	t.Helper()
+	e := &engine{opts: opts}
+	var out bytes.Buffer
+	st, err := e.run(strings.NewReader(text), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes(), st, e
+}
+
 // TestStreamMatchesInMemory is the engine's core contract: for equal
 // effective options, AnonymizeStream and core.Anonymize publish identical
 // bytes — across memory budgets small enough to force spilling and multiple
@@ -58,30 +72,42 @@ func TestStreamMatchesInMemory(t *testing.T) {
 		{"one-shard-spill", 0x7FFFFFFF, 4 << 10},
 		{"no-spill", 80, 1 << 30},
 		{"tiny-shards", 30, 2 << 10},
+		// The root does not fit the planning share and routes through
+		// files until a descendant fits and is split in memory. At 12 KiB
+		// the root's load starts and is abandoned once its dense bytes
+		// pass the share.
+		{"mixed-planning", 80, 6 << 10},
+		{"mixed-planning-root-load", 80, 12 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			copts := core.Options{K: 3, M: 2, MaxClusterSize: 12, Seed: 7, MaxShardRecords: tc.shardS}
 			want := inMemoryBinary(t, d, copts)
+			_, rs, err := core.AnonymizeWithState(d, copts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, workers := range []int{1, 4} {
 				copts.Parallel = workers
-				var got bytes.Buffer
-				st, err := Anonymize(strings.NewReader(text), &got,
-					Options{Core: copts, MemoryBudget: tc.budget, TempDir: t.TempDir()})
-				if err != nil {
-					t.Fatal(err)
-				}
+				got, st, e := runEngine(t, text, Options{Core: copts, MemoryBudget: tc.budget, TempDir: t.TempDir()})
 				if st.Records != d.Len() {
 					t.Errorf("workers=%d: stats report %d records, want %d", workers, st.Records, d.Len())
 				}
-				if !bytes.Equal(got.Bytes(), want) {
+				if !bytes.Equal(got, want) {
 					t.Errorf("workers=%d: stream output differs from in-memory path (%d vs %d bytes, %d shards)",
-						workers, got.Len(), len(want), st.Shards)
+						workers, len(got), len(want), st.Shards)
 				}
-				if tc.budget <= 4<<10 && !st.Spilled {
+				if tc.budget <= 12<<10 && !st.Spilled {
 					t.Errorf("workers=%d: tiny budget did not spill", workers)
 				}
 				if tc.name == "multi-shard-spill" && st.Shards < 2 {
 					t.Errorf("workers=%d: expected multiple shards, got %d", workers, st.Shards)
+				}
+				if tc.name == "no-spill" && st.Shards != rs.NumShards() {
+					t.Errorf("workers=%d: stats report %d shards, the in-memory plan has %d", workers, st.Shards, rs.NumShards())
+				}
+				if strings.HasPrefix(tc.name, "mixed-planning") && (e.fileSplits == 0 || e.slabSplits == 0) {
+					t.Errorf("workers=%d: %d splits through files and %d in memory, want both",
+						workers, e.fileSplits, e.slabSplits)
 				}
 			}
 		})
@@ -110,7 +136,10 @@ func TestStreamDerivedShardSize(t *testing.T) {
 }
 
 // TestStreamJSONMatchesInMemory pins the JSON emission path, spilled and
-// unspilled.
+// unspilled. Bodies are staged in one file per worker, and assembly must
+// drop the leading comma of the first cluster overall, and only it, whichever
+// worker staged that cluster; the 6 KiB budget plans the root through files
+// and its descendants in memory.
 func TestStreamJSONMatchesInMemory(t *testing.T) {
 	d, text := genDataset(t, 4, 300, 30, 6)
 	copts := core.Options{K: 3, M: 2, MaxClusterSize: 10, Seed: 5, MaxShardRecords: 60}
@@ -122,15 +151,18 @@ func TestStreamJSONMatchesInMemory(t *testing.T) {
 	if err := core.WriteJSON(&want, a); err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []int64{2 << 10, 1 << 30} {
-		var got bytes.Buffer
-		st, err := Anonymize(strings.NewReader(text), &got,
-			Options{Core: copts, MemoryBudget: budget, TempDir: t.TempDir(), JSON: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("budget=%d (spilled=%v, shards=%d): JSON output differs from WriteJSON", budget, st.Spilled, st.Shards)
+	for _, budget := range []int64{2 << 10, 6 << 10, 1 << 30} {
+		for _, workers := range []int{1, 4} {
+			copts.Parallel = workers
+			got, st, e := runEngine(t, text, Options{Core: copts, MemoryBudget: budget, TempDir: t.TempDir(), JSON: true})
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("budget=%d workers=%d (spilled=%v, shards=%d): JSON output differs from WriteJSON",
+					budget, workers, st.Spilled, st.Shards)
+			}
+			if budget == 6<<10 && (e.fileSplits == 0 || e.slabSplits == 0) {
+				t.Errorf("workers=%d: %d splits through files and %d in memory, want both",
+					workers, e.fileSplits, e.slabSplits)
+			}
 		}
 	}
 }
@@ -225,5 +257,58 @@ func TestStreamPublishedValid(t *testing.T) {
 	}
 	if st.Clusters != len(a.Clusters) {
 		t.Errorf("stats report %d clusters, publication has %d", st.Clusters, len(a.Clusters))
+	}
+}
+
+// TestStreamSpillLinear pins what planning costs in temp files on a lopsided
+// HORPART chain (3k Quest records, cut 50) whose root fits the planning
+// share: every split is made in memory, the only temp files are the root
+// spill, the shard-input file and one body file per worker, and the bytes
+// staged stay within twice the dense input plus the publication. Routing
+// each split through files instead rewrites the chain's without side at
+// every level, tens of times the input.
+func TestStreamSpillLinear(t *testing.T) {
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions = 3000
+	cfg.DomainSize = 1000
+	g, err := quest.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := g.Generate()
+	var text, dense bytes.Buffer
+	if err := dataset.WriteIDs(&text, d); err != nil {
+		t.Fatal(err)
+	}
+	rw := dataset.NewBinaryRecordWriter(&dense)
+	for _, r := range dataset.NewDenseDomain(d.Records).RemapAll(d.Records) {
+		if err := rw.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	copts := core.Options{K: 5, M: 2, Seed: 1, MaxShardRecords: 50}
+	want := inMemoryBinary(t, d, copts)
+	for _, workers := range []int{1, 3} {
+		copts.Parallel = workers
+		got, st, e := runEngine(t, text.String(), Options{Core: copts, MemoryBudget: 256 << 10, TempDir: t.TempDir()})
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: stream output differs from in-memory path", workers)
+		}
+		if splits := st.Shards - 1; !st.Spilled || splits < 50 || e.slabSplits != splits || e.fileSplits != 0 {
+			t.Errorf("workers=%d: want a spilled chain of at least 50 splits, all in memory; got %d shards, %d splits in memory, %d through files (spilled=%v)",
+				workers, st.Shards, e.slabSplits, e.fileSplits, st.Spilled)
+		}
+		if limit := 2 * int64(dense.Len()+len(got)); st.SpillBytes > limit {
+			t.Errorf("workers=%d: staged %d bytes, over twice the %d-byte dense input plus the %d-byte publication",
+				workers, st.SpillBytes, dense.Len(), len(got))
+		}
+		if want := 2 + workers; e.files != want {
+			t.Errorf("workers=%d: created %d temp files, want %d (root spill, shard input, a body file per worker)",
+				workers, e.files, want)
+		}
 	}
 }

@@ -69,14 +69,20 @@ func horPartN(emit, dense []dataset.Record, nTerms int, excludeBits []bool, maxC
 	hp.pool.New = func() any {
 		return &mfBuf{counts: make([]int32, nTerms), stamp: make([]uint64, nTerms)}
 	}
+	hp.tables.New = func() any { return &supports{c: make([]int32, nTerms)} }
 
 	rootIgnore := make([]bool, nTerms)
 	copy(rootIgnore, excludeBits)
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
+	root := hpNode{idx: make([]int32, n)}
+	for i := range root.idx {
+		root.idx[i] = int32(i)
+		root.occ += len(dense[i])
 	}
-	return hp.split(idx, rootIgnore, 0)
+	if hp.carries(root.occ) {
+		root.sup = hp.tables.Get().(*supports)
+		hp.countInto(root.sup.c, root.idx)
+	}
+	return hp.split(root, rootIgnore, 0)
 }
 
 // horPartition carries the shared, read-only remapping plus the parallelism
@@ -88,6 +94,30 @@ type horPartition struct {
 	max     int
 	spare   atomic.Int32 // extra goroutines still allowed
 	pool    sync.Pool    // *mfBuf epoch-stamped support counters
+	tables  sync.Pool    // *supports, zeroed
+}
+
+// hpNode is one node of the split tree: its records, their total term
+// occurrences, and the node's per-term supports when it carries them.
+type hpNode struct {
+	idx []int32
+	occ int
+	sup *supports // nil: the node recounts its records to pick a split term
+}
+
+// supports is a carried support table, indexed by dense term id.
+type supports struct{ c []int32 }
+
+// carries reports whether a node with occ term occurrences keeps a support
+// table. Picking the split term from a table scans all nTerms entries, while
+// a recount walks the node's occurrences, so a table pays once the node
+// holds at least as many occurrences as the domain has terms. The rule is
+// monotone — both sides of a split hold fewer occurrences than their parent —
+// so a node that recounts has only recounting descendants, and the tables
+// alive at once belong to disjoint record sets of at least nTerms
+// occurrences each: together no larger than the dense records themselves.
+func (hp *horPartition) carries(occ int) bool {
+	return occ > 0 && occ >= hp.nTerms
 }
 
 // mfBuf is a reusable support counter: a count is valid only when its stamp
@@ -110,29 +140,32 @@ const parallelSplitMin = 128
 // explicit work stack.
 const maxSpawnDepth = 48
 
-// split partitions the records identified by idx, emitting clusters in the
-// preorder of the split tree (with-branch first). ignore is mutated and
-// restored in place (mutate-and-undo) on sequential branches; only a branch
-// handed to another goroutine gets its own copy.
-func (hp *horPartition) split(idx []int32, ignore []bool, depth int) [][]dataset.Record {
+// split partitions the node's records, emitting clusters in the preorder of
+// the split tree (with-branch first). ignore is mutated and restored in
+// place (mutate-and-undo) on sequential branches; only a branch handed to
+// another goroutine gets its own copy. The node's support table, if any, is
+// ceded to the call.
+func (hp *horPartition) split(nd hpNode, ignore []bool, depth int) [][]dataset.Record {
 	if depth >= maxSpawnDepth {
-		return hp.splitIter(idx, ignore)
+		return hp.splitIter(nd, ignore)
 	}
-	if len(idx) == 0 {
+	if len(nd.idx) == 0 {
 		return nil
 	}
-	if len(idx) < hp.max {
-		return [][]dataset.Record{hp.cluster(idx)}
+	if len(nd.idx) < hp.max {
+		hp.release(nd.sup)
+		return [][]dataset.Record{hp.cluster(nd.idx)}
 	}
-	a, sup, ok := hp.mostFrequent(idx, ignore)
+	a, sup, ok := hp.splitTerm(nd, ignore)
 	if !ok {
 		// Every term is ignored: the records cannot be distinguished by any
 		// unused term, so they form one (possibly oversized) cluster.
-		return [][]dataset.Record{hp.cluster(idx)}
+		hp.release(nd.sup)
+		return [][]dataset.Record{hp.cluster(nd.idx)}
 	}
-	with, without := hp.partition(idx, a, sup)
+	with, without := hp.divide(nd, a, sup)
 
-	if min(len(with), len(without)) >= parallelSplitMin && hp.tryAcquire() {
+	if min(len(with.idx), len(without.idx)) >= parallelSplitMin && hp.tryAcquire() {
 		withIgnore := make([]bool, hp.nTerms)
 		copy(withIgnore, ignore)
 		withIgnore[a] = true
@@ -157,13 +190,13 @@ func (hp *horPartition) split(idx []int32, ignore []bool, depth int) [][]dataset
 // splitIter is the sequential, constant-stack form of split: an explicit
 // work stack whose set/unset markers implement the same mutate-and-undo
 // ignore discipline, emitting clusters in the same preorder.
-func (hp *horPartition) splitIter(idx []int32, ignore []bool) [][]dataset.Record {
+func (hp *horPartition) splitIter(root hpNode, ignore []bool) [][]dataset.Record {
 	type task struct {
-		records []int32
-		unset   int32 // when ≥ 0: undo marker, clear ignore[unset] (records nil)
+		node  hpNode
+		unset int32 // when ≥ 0: undo marker, clear ignore[unset] (node empty)
 	}
 	var clusters [][]dataset.Record
-	stack := []task{{records: idx, unset: -1}}
+	stack := []task{{node: root, unset: -1}}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -171,43 +204,110 @@ func (hp *horPartition) splitIter(idx []int32, ignore []bool) [][]dataset.Record
 			ignore[cur.unset] = false
 			continue
 		}
-		if len(cur.records) == 0 {
+		nd := cur.node
+		if len(nd.idx) == 0 {
 			continue
 		}
-		if len(cur.records) < hp.max {
-			clusters = append(clusters, hp.cluster(cur.records))
+		if len(nd.idx) < hp.max {
+			hp.release(nd.sup)
+			clusters = append(clusters, hp.cluster(nd.idx))
 			continue
 		}
-		a, sup, ok := hp.mostFrequent(cur.records, ignore)
+		a, sup, ok := hp.splitTerm(nd, ignore)
 		if !ok {
-			clusters = append(clusters, hp.cluster(cur.records))
+			hp.release(nd.sup)
+			clusters = append(clusters, hp.cluster(nd.idx))
 			continue
 		}
-		with, without := hp.partition(cur.records, a, sup)
+		with, without := hp.divide(nd, a, sup)
 		// Execution order (LIFO): with-subtree under ignore[a], then the
 		// undo marker, then the without-subtree.
 		ignore[a] = true
-		stack = append(stack, task{records: without, unset: -1})
+		stack = append(stack, task{node: without, unset: -1})
 		stack = append(stack, task{unset: a})
-		stack = append(stack, task{records: with, unset: -1})
+		stack = append(stack, task{node: with, unset: -1})
 	}
 	return clusters
 }
 
-// partition splits the record indices by containment of dense term a, whose
-// support sup among the records is already known from mostFrequent — both
-// sides allocate exactly once.
-func (hp *horPartition) partition(idx []int32, a int32, sup int32) (with, without []int32) {
-	with = make([]int32, 0, sup)
-	without = make([]int32, 0, len(idx)-int(sup))
-	for _, ri := range idx {
-		if _, found := slices.BinarySearch(hp.recs[ri], dataset.Term(a)); found {
-			with = append(with, ri)
+// splitTerm returns the dense id and support of the node's most frequent
+// term, skipping ignored terms, with ties toward the smaller id: from the
+// node's support table when it carries one, else by a recount.
+func (hp *horPartition) splitTerm(nd hpNode, ignore []bool) (int32, int32, bool) {
+	if nd.sup == nil {
+		return hp.mostFrequent(nd.idx, ignore)
+	}
+	best, bestSup := int32(-1), int32(0)
+	for t, c := range nd.sup.c {
+		if c > bestSup && !ignore[t] {
+			best, bestSup = int32(t), c
+		}
+	}
+	return best, bestSup, bestSup > 0
+}
+
+// divide splits the node's records by containment of dense term a, whose
+// support sup among them is already known, keeping their relative order on
+// both sides (each side allocates exactly once). A side that carries
+// supports gets them without a recount of its own: the with side counts its
+// records, and the without side takes over the parent's table minus the with
+// side's supports — every occurrence lands on exactly one side, the rule the
+// shard planner uses too. The parent's table is ceded to the call.
+func (hp *horPartition) divide(nd hpNode, a, sup int32) (with, without hpNode) {
+	with.idx = make([]int32, 0, sup)
+	without.idx = make([]int32, 0, len(nd.idx)-int(sup))
+	for _, ri := range nd.idx {
+		r := hp.recs[ri]
+		if _, found := slices.BinarySearch(r, dataset.Term(a)); found {
+			with.idx = append(with.idx, ri)
+			with.occ += len(r)
 		} else {
-			without = append(without, ri)
+			without.idx = append(without.idx, ri)
+		}
+	}
+	without.occ = nd.occ - with.occ
+
+	if nd.sup != nil && hp.carries(without.occ) {
+		without.sup = nd.sup
+	} else {
+		hp.release(nd.sup)
+	}
+	if hp.carries(with.occ) {
+		with.sup = hp.tables.Get().(*supports)
+		hp.countInto(with.sup.c, with.idx)
+		if without.sup != nil {
+			wo := without.sup.c
+			for t, c := range with.sup.c {
+				wo[t] -= c
+			}
+		}
+	} else if without.sup != nil {
+		wo := without.sup.c
+		for _, ri := range with.idx {
+			for _, t := range hp.recs[ri] {
+				wo[t]--
+			}
 		}
 	}
 	return with, without
+}
+
+// countInto adds the supports of the records identified by idx to counts.
+func (hp *horPartition) countInto(counts []int32, idx []int32) {
+	for _, ri := range idx {
+		for _, t := range hp.recs[ri] {
+			counts[t]++
+		}
+	}
+}
+
+// release zeroes a support table no node needs any more and returns it to
+// the pool.
+func (hp *horPartition) release(s *supports) {
+	if s != nil {
+		clear(s.c)
+		hp.tables.Put(s)
+	}
 }
 
 func (hp *horPartition) tryAcquire() bool {
@@ -233,7 +333,8 @@ func (hp *horPartition) cluster(idx []int32) []dataset.Record {
 
 // mostFrequent returns the local id and support of the term with the highest
 // support among the records, skipping ignored terms; ties break toward the
-// smaller id so the partitioning is deterministic.
+// smaller id so the partitioning is deterministic. It serves the nodes too
+// small to carry a support table.
 func (hp *horPartition) mostFrequent(idx []int32, ignore []bool) (int32, int32, bool) {
 	buf := hp.pool.Get().(*mfBuf)
 	buf.epoch++

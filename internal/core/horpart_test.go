@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
+	"maps"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"disasso/internal/dataset"
+	"disasso/internal/quest"
 )
 
 // collectPartition flattens clusters and checks they form an exact partition
@@ -196,4 +200,176 @@ func TestHorPartMinimumClusterSize(t *testing.T) {
 	d := dataset.FromRecords(figure2Records())
 	clusters := HorPart(d, 0, nil)
 	assertPartition(t, d, clusters)
+}
+
+// refSplitStats records which rules a reference run exercised, so the oracle
+// test fails if its inputs stop covering them.
+type refSplitStats struct {
+	carried, recounted int // splits of nodes on either side of the carry threshold
+	ties               int // splits whose best support another term tied
+}
+
+// refHorPart is the reference HORPART: every node recounts its records'
+// supports and splits on the most frequent unignored term, ties toward the
+// smaller id, with side first. It returns the clusters as record indices.
+func refHorPart(recs []dataset.Record, idx []int32, ignore []bool, bound int, st *refSplitStats) [][]int32 {
+	if len(idx) == 0 {
+		return nil
+	}
+	if len(idx) < bound {
+		return [][]int32{idx}
+	}
+	counts := make([]int, len(ignore))
+	occ := 0
+	for _, ri := range idx {
+		occ += len(recs[ri])
+		for _, t := range recs[ri] {
+			if !ignore[t] {
+				counts[t]++
+			}
+		}
+	}
+	best, bestSup, tied := -1, 0, false
+	for t, c := range counts {
+		switch {
+		case c > bestSup:
+			best, bestSup, tied = t, c, false
+		case c == bestSup && c > 0:
+			tied = true
+		}
+	}
+	if bestSup == 0 {
+		return [][]int32{idx}
+	}
+	if occ >= len(ignore) {
+		st.carried++
+	} else {
+		st.recounted++
+	}
+	if tied {
+		st.ties++
+	}
+	var with, without []int32
+	for _, ri := range idx {
+		if recs[ri].Contains(dataset.Term(best)) {
+			with = append(with, ri)
+		} else {
+			without = append(without, ri)
+		}
+	}
+	ignore[best] = true
+	out := refHorPart(recs, with, ignore, bound, st)
+	ignore[best] = false
+	return append(out, refHorPart(recs, without, ignore, bound, st)...)
+}
+
+// lopsidedChain builds a split tree that is a chain of the given depth: block
+// j holds size records of chain term j, so the without spine splits on terms
+// 0, 1, 2, … in order, each a tie with every later chain term. Each block
+// also carries two terms of its own (on every second and every third record)
+// so a block above the cluster bound splits again. Records are shuffled so
+// the blocks interleave in record order.
+func lopsidedChain(depth, size int, rng *rand.Rand) []dataset.Record {
+	var recs []dataset.Record
+	for j := 0; j < depth; j++ {
+		for i := 0; i < size; i++ {
+			r := dataset.Record{dataset.Term(j)}
+			if i%2 == 0 {
+				r = append(r, dataset.Term(depth+2*j))
+			}
+			if i%3 == 0 {
+				r = append(r, dataset.Term(depth+2*j+1))
+			}
+			recs = append(recs, r)
+		}
+	}
+	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+	return recs
+}
+
+// TestHorPartMatchesRecountOracle: HORPART with carried supports must emit
+// the clusters of the recount-every-split reference — the same records in
+// the same order — at 1 and 4 workers, on Quest data (with and without its
+// most frequent terms excluded) and on a lopsided chain deeper than
+// maxSpawnDepth, where splitIter carries the tables. Every input must split
+// nodes on both sides of the carry threshold and split on support ties.
+func TestHorPartMatchesRecountOracle(t *testing.T) {
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions, cfg.DomainSize, cfg.AvgTransLen, cfg.Seed = 3_000, 400, 8, 5
+	g, err := quest.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	questRecs := g.Generate().Records
+	// The three most frequent Quest terms, the root's first split candidates.
+	sup := make(map[dataset.Term]int)
+	for _, r := range questRecs {
+		for _, term := range r {
+			sup[term]++
+		}
+	}
+	frequent := slices.SortedFunc(maps.Keys(sup), func(a, b dataset.Term) int {
+		return cmp.Or(sup[b]-sup[a], cmp.Compare(a, b))
+	})[:3]
+	chainRecs := lopsidedChain(2*maxSpawnDepth, 20, rand.New(rand.NewPCG(3, 9)))
+
+	cases := []struct {
+		name    string
+		records []dataset.Record
+		exclude []dataset.Term // global terms barred from splitting
+		bound   int            // the cluster-size bound
+	}{
+		{"quest", questRecs, nil, 30},
+		{"quest-excluded", questRecs, frequent, 30},
+		{"quest-small-clusters", questRecs, nil, 5},
+		{"chain", chainRecs, nil, 16},
+		{"chain-excluded", chainRecs, []dataset.Term{5, 2*maxSpawnDepth + 10}, 16},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dom := dataset.NewDenseDomain(tc.records)
+			dense := dom.RemapAll(tc.records)
+			exclude := make([]bool, dom.Len())
+			for _, term := range tc.exclude {
+				id, ok := dom.ID(term)
+				if !ok {
+					t.Fatalf("excluded term %d is not in the data", term)
+				}
+				exclude[id] = true
+			}
+			idx := make([]int32, len(dense))
+			// Each emitted record names its own index, so a cluster reads
+			// back as the record indices it holds.
+			emit := make([]dataset.Record, len(dense))
+			for i := range idx {
+				idx[i] = int32(i)
+				emit[i] = dataset.Record{dataset.Term(i)}
+			}
+			var st refSplitStats
+			want := refHorPart(dense, idx, slices.Clone(exclude), tc.bound, &st)
+			if st.carried == 0 || st.recounted == 0 {
+				t.Fatalf("input splits %d carrying and %d recounting nodes; the oracle needs both", st.carried, st.recounted)
+			}
+			if st.ties == 0 {
+				t.Fatal("input splits on no support tie")
+			}
+			for _, workers := range []int{1, 4} {
+				got := horPartN(emit, dense, dom.Len(), exclude, tc.bound, workers)
+				if len(got) != len(want) {
+					t.Fatalf("workers=%d: %d clusters, want %d", workers, len(got), len(want))
+				}
+				for ci := range want {
+					if len(got[ci]) != len(want[ci]) {
+						t.Fatalf("workers=%d: cluster %d has %d records, want %d", workers, ci, len(got[ci]), len(want[ci]))
+					}
+					for j, r := range got[ci] {
+						if int32(r[0]) != want[ci][j] {
+							t.Fatalf("workers=%d: cluster %d record %d is %d, want %d", workers, ci, j, r[0], want[ci][j])
+						}
+					}
+				}
+			}
+			t.Logf("%d clusters; splits: %d carrying, %d recounting, %d ties", len(want), st.carried, st.recounted, st.ties)
+		})
+	}
 }

@@ -311,7 +311,7 @@ func refineN(nodes []*refNode, k, m int, sensitive []bool, rng *rand.Rand, worke
 					p = e.planPair(nodes[i], nodes[i+1], 0)
 				}
 				if p != nil {
-					j := p.commit(rng)
+					j := p.commit(&e.scratchFor(0).ixs.chunks, rng)
 					j.gen = e.nextGen
 					e.nextGen++
 					out = append(out, j)
@@ -919,16 +919,17 @@ func tryJoin(a, b *refNode, k, m int, sensitive map[dataset.Term]bool, rng *rand
 	if p == nil {
 		return nil
 	}
-	return p.commit(rng)
+	return p.commit(&e.scratchFor(0).ixs.chunks, rng)
 }
 
 // commit materializes the planned joint node: it builds (and shuffles) the
 // shared chunks, removes the placed terms from the leaves' term chunks and
 // derives the joint's aggregates from its parents (the only state change the
 // join introduces — every other node keeps its cached aggregates). Commits
-// run sequentially in scan order, so rng consumption is deterministic.
-func (p *joinPlan) commit(rng *rand.Rand) *refNode {
-	sharedChunks := buildChunks(p.masked, p.domains, rng)
+// run sequentially in scan order, so rng consumption is deterministic, and
+// no plan is being computed meanwhile, so cs may be any worker's.
+func (p *joinPlan) commit(cs *chunkScratch, rng *rand.Rand) *refNode {
+	sharedChunks := buildChunks(p.masked, p.domains, cs, rng)
 	for i, l := range p.leaves {
 		if len(p.contrib[i]) == 0 || intersectCount(p.contrib[i], p.placed) == 0 {
 			continue // nothing placed from this leaf: its term chunk is untouched

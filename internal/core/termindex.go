@@ -112,12 +112,17 @@ type indexScratch struct {
 	posts   [][]int32
 	supBuf  []int32
 	domBuf  []bool
+
+	// chunks builds the chunks of the domains drawn from the same term
+	// domain (buildChunks); it is independent of the index.
+	chunks chunkScratch
 }
 
 func newIndexScratch(nTerms int) *indexScratch {
 	return &indexScratch{
 		localOf: make([]int32, nTerms),
 		stamp:   make([]uint32, nTerms),
+		chunks:  newChunkScratch(nTerms),
 	}
 }
 

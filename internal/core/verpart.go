@@ -25,28 +25,29 @@ import (
 //
 // rng drives the subrecord shuffling that hides cross-chunk associations; it
 // must be non-nil.
+//
+// It runs over the records' own dense term domain, like the pipeline, and
+// maps the cluster back to the records' terms.
 func VerPart(records []dataset.Record, k, m int, sensitive map[dataset.Term]bool, rng *rand.Rand) *Cluster {
-	cl, _ := verPartIndexed(records, k, m, func(t dataset.Term) bool { return sensitive[t] }, rng, nil)
+	dom := dataset.NewDenseDomain(records)
+	isSensitive := func(t dataset.Term) bool { return sensitive[dom.TermOf(t)] }
+	cl, _ := verPartIndexed(dom.RemapAll(records), k, m, isSensitive, rng, newIndexScratch(dom.Len()))
+	restoreNode(&ClusterNode{Simple: cl}, dom)
 	return cl
 }
 
-// verPartIndexed is VerPart's core. scr, when non-nil, provides the reusable
-// dense-domain index build (the pipeline hands each worker its own scratch);
-// nil falls back to a fresh index. The cluster index is returned so the
-// caller can lift the in-cluster supports out of it — it is only valid until
-// the scratch's next build.
+// verPartIndexed is VerPart's core over dense term ids. scr provides the
+// reusable index build and chunk table (the pipeline hands each worker its
+// own scratch). The cluster index is returned so the caller can lift the
+// in-cluster supports out of it — it is only valid until the scratch's next
+// build.
 func verPartIndexed(records []dataset.Record, k, m int, isSensitive func(dataset.Term) bool, rng *rand.Rand, scr *indexScratch) (*Cluster, *clusterIndex) {
 	cl := &Cluster{Size: len(records)}
 
 	// One dense index over the cluster's records backs the support counts
 	// and every greedy checker pass: in-cluster support is simply the
 	// posting-list length.
-	var ix *clusterIndex
-	if scr != nil {
-		ix = scr.build(records)
-	} else {
-		ix = buildClusterIndex(records)
-	}
+	ix := scr.build(records)
 	support := func(t dataset.Term) int {
 		if lt, ok := ix.localID(t); ok {
 			return len(ix.postings[lt])
@@ -101,42 +102,97 @@ func verPartIndexed(records []dataset.Record, k, m int, isSensitive func(dataset
 	}
 
 	// Materialize chunks by projection and enforce Lemma 2.
-	cl.RecordChunks = buildChunks(records, domains, rng)
+	cl.RecordChunks = buildChunks(records, domains, &scr.chunks, rng)
 	cl.TermChunk = dataset.NewRecord(termChunk...)
-	enforceLemma2(cl, records, support, k, m, rng)
+	enforceLemma2(cl, records, support, k, m, &scr.chunks, rng)
 	return cl, ix
 }
 
-// buildChunks projects the records onto each domain, keeping non-empty
-// projections in randomized order. Each chunk's subrecords share one flat
-// backing allocation, sized by a counting pass, so projecting |P| records
-// costs two allocations instead of |P|.
-func buildChunks(records []dataset.Record, domains []dataset.Record, rng *rand.Rand) []Chunk {
-	chunks := make([]Chunk, 0, len(domains))
-	for _, dom := range domains {
-		c := Chunk{Domain: dom}
-		total, count := 0, 0
-		for _, r := range records {
-			if n := intersectCount(r, dom); n > 0 {
-				total += n
-				count++
-			}
+// buildChunks projects the records onto each of the pairwise disjoint
+// domains, keeping the non-empty projections, and shuffles each chunk's
+// subrecords. It walks the records once: cs's term→chunk table sends each
+// record's terms to their chunks' staging buffers in record order, so every
+// chunk holds its projections in record order before its shuffle, and the
+// chunks are shuffled in domain order — exactly the draws of projecting and
+// shuffling one domain after another. Each chunk's subrecords share one
+// exactly sized backing allocation.
+func buildChunks(records []dataset.Record, domains []dataset.Record, cs *chunkScratch, rng *rand.Rand) []Chunk {
+	cs.reset(len(domains))
+	for ci, dom := range domains {
+		for _, t := range dom {
+			cs.chunkOf[t] = int32(ci)
 		}
-		flat := make(dataset.Record, 0, total)
-		c.Subrecords = make([]dataset.Record, 0, count)
-		for _, r := range records {
-			start := len(flat)
-			flat = intersectAppend(flat, r, dom)
-			if len(flat) > start {
-				c.Subrecords = append(c.Subrecords, dataset.Record(flat[start:len(flat):len(flat)]))
+	}
+	for ri, r := range records {
+		for _, t := range r {
+			c := cs.chunkOf[t]
+			if c < 0 {
+				continue
 			}
+			if cs.open[c] != int32(ri) {
+				if cs.open[c] >= 0 {
+					cs.ends[c] = append(cs.ends[c], int32(len(cs.terms[c])))
+				}
+				cs.open[c] = int32(ri)
+			}
+			cs.terms[c] = append(cs.terms[c], t)
 		}
-		rng.Shuffle(len(c.Subrecords), func(i, j int) {
-			c.Subrecords[i], c.Subrecords[j] = c.Subrecords[j], c.Subrecords[i]
+	}
+
+	chunks := make([]Chunk, len(domains))
+	for ci, dom := range domains {
+		for _, t := range dom {
+			cs.chunkOf[t] = -1
+		}
+		if cs.open[ci] >= 0 {
+			cs.ends[ci] = append(cs.ends[ci], int32(len(cs.terms[ci])))
+		}
+		flat := slices.Clone(cs.terms[ci])
+		subs := make([]dataset.Record, len(cs.ends[ci]))
+		start := int32(0)
+		for i, end := range cs.ends[ci] {
+			subs[i] = dataset.Record(flat[start:end:end])
+			start = end
+		}
+		rng.Shuffle(len(subs), func(i, j int) {
+			subs[i], subs[j] = subs[j], subs[i]
 		})
-		chunks = append(chunks, c)
+		chunks[ci] = Chunk{Domain: dom, Subrecords: subs}
 	}
 	return chunks
+}
+
+// chunkScratch is the reusable state behind buildChunks, owned by one
+// goroutine at a time. chunkOf maps a dense term id to the chunk whose
+// domain holds it and is -1 for every term between calls; the per-chunk
+// buffers stage the subrecords of one call.
+type chunkScratch struct {
+	chunkOf []int32
+	terms   [][]dataset.Term // per chunk: its subrecords' terms, back to back
+	ends    [][]int32        // per chunk: the end offset of each closed subrecord
+	open    []int32          // per chunk: the record its last subrecord came from, or -1
+}
+
+func newChunkScratch(nTerms int) chunkScratch {
+	chunkOf := make([]int32, nTerms)
+	for i := range chunkOf {
+		chunkOf[i] = -1
+	}
+	return chunkScratch{chunkOf: chunkOf}
+}
+
+// reset empties the staging buffers of the first n chunks.
+func (cs *chunkScratch) reset(n int) {
+	for len(cs.open) < n {
+		cs.terms = append(cs.terms, nil)
+		cs.ends = append(cs.ends, nil)
+		cs.open = append(cs.open, 0)
+	}
+	for c := range n {
+		cs.terms[c] = cs.terms[c][:0]
+		cs.ends[c] = cs.ends[c][:0]
+		cs.open[c] = -1
+	}
 }
 
 // intersectCount returns |a ∩ b| for sorted records without allocating.
@@ -160,7 +216,7 @@ func intersectCount(a, b dataset.Record) int {
 // fails, demotes the least frequent record-chunk term into the term chunk
 // (re-projecting the affected chunk). A non-empty term chunk always
 // satisfies the lemma, so at most one demotion is needed.
-func enforceLemma2(cl *Cluster, records []dataset.Record, support func(dataset.Term) int, k, m int, rng *rand.Rand) {
+func enforceLemma2(cl *Cluster, records []dataset.Record, support func(dataset.Term) int, k, m int, cs *chunkScratch, rng *rand.Rand) {
 	if len(cl.TermChunk) > 0 || len(cl.RecordChunks) == 0 {
 		return
 	}
@@ -184,7 +240,7 @@ func enforceLemma2(cl *Cluster, records []dataset.Record, support func(dataset.T
 		// Chunk degenerates to nothing: drop it entirely.
 		cl.RecordChunks = append(cl.RecordChunks[:victimChunk], cl.RecordChunks[victimChunk+1:]...)
 	} else {
-		rebuilt := buildChunks(records, []dataset.Record{newDomain}, rng)
+		rebuilt := buildChunks(records, []dataset.Record{newDomain}, cs, rng)
 		cl.RecordChunks[victimChunk] = rebuilt[0]
 	}
 	cl.TermChunk = dataset.NewRecord(victim)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 
 	"disasso/internal/dataset"
@@ -254,5 +256,103 @@ func TestVerPartRandomClusters(t *testing.T) {
 		if len(cl.TermChunk) == 0 && len(cl.RecordChunks) > 0 && !lemma2Holds(cl, k, m) {
 			t.Fatalf("trial %d: Lemma 2 violated", trial)
 		}
+	}
+}
+
+// refBuildChunks is the reference chunk build: one projection of every
+// record per domain, shuffled as soon as the domain's chunk is built.
+func refBuildChunks(records []dataset.Record, domains []dataset.Record, rng *rand.Rand) []Chunk {
+	chunks := make([]Chunk, 0, len(domains))
+	for _, dom := range domains {
+		c := Chunk{Domain: dom}
+		total, count := 0, 0
+		for _, r := range records {
+			if n := intersectCount(r, dom); n > 0 {
+				total += n
+				count++
+			}
+		}
+		flat := make(dataset.Record, 0, total)
+		c.Subrecords = make([]dataset.Record, 0, count)
+		for _, r := range records {
+			start := len(flat)
+			flat = intersectAppend(flat, r, dom)
+			if len(flat) > start {
+				c.Subrecords = append(c.Subrecords, dataset.Record(flat[start:len(flat):len(flat)]))
+			}
+		}
+		rng.Shuffle(len(c.Subrecords), func(i, j int) {
+			c.Subrecords[i], c.Subrecords[j] = c.Subrecords[j], c.Subrecords[i]
+		})
+		chunks = append(chunks, c)
+	}
+	return chunks
+}
+
+// TestBuildChunksMatchesPerDomainProjection: the one-pass chunk build must
+// equal the per-domain projection on random sorted records and pairwise
+// disjoint domains — including domains no record touches and terms in no
+// domain — and draw exactly the same PRNG values, and it must leave its
+// term→chunk table all -1 for the next call on the same scratch.
+func TestBuildChunksMatchesPerDomainProjection(t *testing.T) {
+	const nTerms = 64
+	rng := rand.New(rand.NewPCG(11, 17))
+	cs := newChunkScratch(nTerms + 8) // room for terms no record holds
+	touched, untouched := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		records := make([]dataset.Record, rng.IntN(40))
+		for i := range records {
+			terms := make([]dataset.Term, rng.IntN(10))
+			for j := range terms {
+				terms[j] = dataset.Term(rng.IntN(nTerms))
+			}
+			records[i] = dataset.NewRecord(terms...)
+		}
+		// Deal a random subset of the terms into up to 5 domains; the rest
+		// join no domain. On every third trial the odd domains get only
+		// terms no record holds, so no record touches them. Domains left
+		// empty are dropped, as no caller passes one.
+		var domains []dataset.Record
+		if nd := rng.IntN(6); nd > 0 {
+			domains = make([]dataset.Record, nd)
+			isolateOdd := trial%3 == 0
+			for _, term := range rng.Perm(nTerms + 8) {
+				d := rng.IntN(nd + 2) // d ≥ nd: the term joins no domain
+				if d >= nd || isolateOdd && d%2 == 1 && term < nTerms {
+					continue
+				}
+				domains[d] = append(domains[d], dataset.Term(term))
+			}
+			domains = slices.DeleteFunc(domains, func(d dataset.Record) bool { return len(d) == 0 })
+			for _, d := range domains {
+				slices.Sort(d)
+			}
+		}
+		seed := rng.Uint64()
+		wantRNG := rand.New(rand.NewPCG(seed, 1))
+		gotRNG := rand.New(rand.NewPCG(seed, 1))
+		want := refBuildChunks(records, domains, wantRNG)
+		got := buildChunks(records, domains, &cs, gotRNG)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: chunks differ\n got %v\nwant %v", trial, got, want)
+		}
+		if g, w := gotRNG.Uint64(), wantRNG.Uint64(); g != w {
+			t.Fatalf("trial %d: next draw %d, want %d: the build consumed a different PRNG stream", trial, g, w)
+		}
+		for term, c := range cs.chunkOf {
+			if c != -1 {
+				t.Fatalf("trial %d: chunk table holds %d for term %d after the build", trial, c, term)
+			}
+		}
+		for _, c := range got {
+			if len(c.Subrecords) == 0 {
+				untouched++
+			} else {
+				touched++
+			}
+		}
+	}
+	if untouched == 0 || touched == 0 {
+		t.Fatalf("trials built %d chunks with subrecords and %d without; the test needs both", touched, untouched)
 	}
 }

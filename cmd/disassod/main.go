@@ -1,10 +1,12 @@
 // Command disassod serves published disassociated datasets over HTTP — the
 // long-running analyst-facing counterpart of the one-shot disasso tool. A
-// publisher uploads a dataset once; the daemon anonymizes it (in memory or
-// through the bounded-memory streaming engine), builds the inverted query
-// index, and then serves itemset support estimates, reconstruction samples,
-// utility metrics and publication stats to any number of concurrent
-// clients.
+// publisher uploads a dataset once; the daemon anonymizes it, builds the
+// inverted query index, and then serves itemset support estimates,
+// reconstruction samples, utility metrics and publication stats to any
+// number of concurrent clients. The daemon holds every publication and its
+// original records in memory; stream=1 only derives the shard cut from
+// membudget, as the bounded-memory streaming engine of `disasso -stream`
+// would, and publishes the same bytes.
 //
 // Usage:
 //
@@ -27,7 +29,8 @@
 // Append and remove are incremental delta republishes: each produces a new
 // immutable snapshot version whose bytes are identical to a from-scratch
 // publish of the updated records, but only the shards the delta touches are
-// re-anonymized (publish with shardrecords > 0 to enable sharding).
+// re-anonymized (publish with shardrecords > 0, or stream=1, to enable
+// sharding). Every dataset, streamed or not, takes deltas and metrics.
 package main
 
 import (
@@ -53,14 +56,14 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		maxBody  = flag.String("max-body", "", "request body cap, bytes with optional K/M/G suffix (default 64M)")
 		maxRecon = flag.Int("max-reconstructions", 0, "per-request reconstruction sample cap (default 16)")
-		tmpDir   = flag.String("tmpdir", "", "directory for streaming spill files (default system temp)")
 		supCache = flag.Int("support-cache", 0, "per-snapshot support cache entries (default 8192, negative disables)")
 		dataDir  = flag.String("data-dir", "", "directory for persistent snapshot files; publications survive restarts (default in-memory only)")
 	)
+	flag.String("tmpdir", "", "ignored: the daemon writes no spill files; accepted so older command lines still parse")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *addr, *maxBody, *maxRecon, *supCache, *tmpDir, *dataDir, os.Stderr); err != nil {
+	if err := run(ctx, *addr, *maxBody, *maxRecon, *supCache, *dataDir, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "disassod:", err)
 		os.Exit(1)
 	}
@@ -71,7 +74,7 @@ func main() {
 // registry is recovered from its snapshot files before the listener opens —
 // O(files), no re-anonymization — so the first request already sees every
 // surviving dataset.
-func run(ctx context.Context, addr, maxBody string, maxRecon, supCache int, tmpDir, dataDir string, logw io.Writer) error {
+func run(ctx context.Context, addr, maxBody string, maxRecon, supCache int, dataDir string, logw io.Writer) error {
 	bodyCap, err := dataset.ParseByteSize(maxBody)
 	if err != nil {
 		return err
@@ -85,7 +88,6 @@ func run(ctx context.Context, addr, maxBody string, maxRecon, supCache int, tmpD
 	handler := disasso.NewServer(disasso.ServerOptions{
 		MaxBodyBytes:        bodyCap,
 		MaxReconstructions:  maxRecon,
-		TempDir:             tmpDir,
 		SupportCacheEntries: supCache,
 		DataDir:             dataDir,
 		Logf:                logger.Printf,

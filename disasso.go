@@ -285,7 +285,8 @@ type (
 )
 
 // NewServer returns the HTTP query service serving the disassod API:
-// dataset publishing (in-memory or streaming), itemset support estimates
+// dataset publishing (stream=1 derives the shard cut from a memory budget),
+// append/remove deltas, itemset support estimates
 // over the inverted index (memoized by a bounded per-snapshot support cache,
 // ServerOptions.SupportCacheEntries), reconstruction sampling, utility
 // metrics and stats. With ServerOptions.DataDir set, publications persist as

@@ -12,7 +12,7 @@ import (
 
 // anonymizeWork counts entries into the per-shard anonymization kernel across
 // every pipeline variant — full runs, streamed shards and delta republishes
-// all funnel through AnonymizeShard. The snapshot-recovery tests assert the
+// all funnel through RunShard. The snapshot-recovery tests assert the
 // counter stays flat across a restart: recovering a persisted publication
 // must do zero anonymization work.
 var anonymizeWork atomic.Int64
@@ -53,7 +53,7 @@ type Options struct {
 	// (Section 5): they are ignored during horizontal partitioning and always
 	// placed in term chunks, so they associate with any record of a cluster
 	// with probability at most 1/|P|.
-	//lint:ignore densedomain boundary API: callers pass global terms; SensitiveBits densifies them once per run
+	//lint:ignore densedomain boundary API: callers pass global terms; RunShard densifies them once per shard
 	Sensitive map[dataset.Term]bool
 	// SafeDisassociation runs the safe-disassociation repair (Awad et al.)
 	// after REFINE: cover-problem breaches — cross-chunk associations an
@@ -125,20 +125,45 @@ func Anonymize(d *dataset.Dataset, opts Options) (*Anonymized, error) {
 	return a, err
 }
 
-// AnonymizeShard runs the per-shard pipeline — HORPART (continuing past the
-// shard's split path), MergeUndersized, VERPART, REFINE — over one shard of
-// dense-id records and returns the published nodes, still in dense ids
-// (RestoreClusters maps them back). opts must be validated and defaulted;
-// sensitive is the dense sensitive-term table. Every PRNG stream is keyed by
-// (Seed, shard index, position), so shards can run in any order or
-// concurrently with identical output; shard 0 consumes exactly the streams
-// the historical unsharded pipeline did.
-func AnonymizeShard(sh Shard, nTerms int, sensitive []bool, opts Options) []*ClusterNode {
+// RunShard anonymizes one shard of a shard plan and returns its published
+// nodes. records are the shard's records in global terms, read and never
+// modified; path holds the global terms its split path consumed, which its
+// HORPART continuation must not split on; index is its position in the
+// plan's preorder. The pipeline — HORPART, MergeUndersized, VERPART, REFINE
+// and, when asked, safe repair — runs over the shard's own dense domain
+// (dom, or built from the records when nil), and by the monotone-remap
+// invariance the restored output is byte-identical to the shard's slice of
+// a global run. Every PRNG stream is keyed by (Seed, shard index, position),
+// so shards can run in any order or concurrently with identical output;
+// shard 0 consumes exactly the streams the historical unsharded pipeline
+// did. opts must be validated and defaulted.
+func RunShard(records []dataset.Record, path []dataset.Term, index int, dom *dataset.DenseDomain, opts Options) []*ClusterNode {
 	anonymizeWork.Add(1)
+	if dom == nil {
+		dom = dataset.NewDenseDomain(records)
+	}
+	nTerms := dom.Len()
+	// ignore marks every sensitive key and the split path (barred from
+	// splitting, as horPartN's contract says), sensitive only the
+	// true-valued terms (kept out of record and shared chunks).
+	ignore := make([]bool, nTerms)
+	sensitive := make([]bool, nTerms)
+	//lint:deterministic order-independent scatter into dense boolean tables
+	for t, v := range opts.Sensitive {
+		if id, ok := dom.ID(t); ok {
+			ignore[id], sensitive[id] = true, v
+		}
+	}
+	for _, t := range path {
+		if id, ok := dom.ID(t); ok {
+			ignore[id] = true
+		}
+	}
 	isSensitive := func(t dataset.Term) bool { return sensitive[t] }
-	shardIdx := uint64(sh.Index)
+	shardIdx := uint64(index)
 
-	clusters := horPartN(sh.Records, sh.Records, nTerms, sh.Ignore, opts.MaxClusterSize, opts.Parallel)
+	dense := dom.RemapAll(records)
+	clusters := horPartN(dense, dense, nTerms, ignore, opts.MaxClusterSize, opts.Parallel)
 	// Every cluster needs at least K records, or a term confined to its term
 	// chunk would leave an adversary fewer than K candidates (Section 5's
 	// reconstruction argument pads up to |P| records only).
@@ -191,44 +216,21 @@ func AnonymizeShard(sh Shard, nTerms int, sensitive []bool, opts Options) []*Clu
 			repairNode(p, lookup, opts.K, opts.M, rng)
 		}
 	}
+	for _, n := range published {
+		restoreNode(n, dom)
+	}
 	return published
 }
 
-// ShardOptions prepares caller options for AnonymizeShard: validation plus
-// the same defaulting Anonymize applies. The streaming engine uses it so both
-// paths resolve identical effective options.
+// ShardOptions prepares caller options for RunShard: validation plus the
+// same defaulting Anonymize applies. The streaming engine and the server's
+// budget-derived cut use it so every path resolves identical effective
+// options.
 func ShardOptions(opts Options) (Options, error) {
 	if err := opts.Validate(); err != nil {
 		return Options{}, err
 	}
 	return opts.withDefaults(), nil
-}
-
-// SensitiveBits maps Options.Sensitive onto a dense domain: exclude marks
-// every sensitive *key* (barred from splitting, as HorPartN's contract says),
-// sensitive only the true-valued terms (kept out of record and shared
-// chunks).
-func SensitiveBits(opts Options, dom *dataset.DenseDomain) (exclude, sensitive []bool) {
-	exclude = make([]bool, dom.Len())
-	sensitive = make([]bool, dom.Len())
-	//lint:deterministic order-independent scatter into dense boolean tables
-	for t, v := range opts.Sensitive {
-		if id, ok := dom.ID(t); ok {
-			exclude[id] = true
-			if v {
-				sensitive[id] = true
-			}
-		}
-	}
-	return exclude, sensitive
-}
-
-// RestoreClusters rewrites published nodes from dense ids back to the global
-// terms of dom, in place.
-func RestoreClusters(nodes []*ClusterNode, dom *dataset.DenseDomain) {
-	for _, n := range nodes {
-		restoreNode(n, dom)
-	}
 }
 
 // exportNode converts the working representation into the published form,

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"disasso/internal/dataset"
+	"disasso/internal/par"
 )
 
 // Incremental delta republish. A full publish retains, besides the published
@@ -24,7 +25,7 @@ import (
 // when that changes the subtree's shard count, the engine falls back to a
 // full from-scratch republish. Inside a replanted subtree, a new leaf whose
 // insertion seqs and split-path set equal those of the old leaf at the same
-// index keeps the old shard and its published nodes: runShard's output is a
+// index keeps the old shard and its published nodes: RunShard's output is a
 // function of exactly those inputs (the seqs fix the records and their
 // order, the path set the barred terms, the index the PRNG streams) and the
 // options, so re-running it would reproduce the same bytes.
@@ -172,7 +173,7 @@ func newRepubState(records []dataset.Record, seq []uint64, nextSeq uint64, opts 
 	}
 	var leaves []PlanLeaf[memSource]
 	p := st.planner(slices.Clone(st.excluded), nil, &leaves)
-	root, err := p.plan(memSource{st: st, records: records, seq: seq}, nil)
+	root, err := p.plan(memSource{st: st, records: records, seq: seq, borrowed: true}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -201,11 +202,13 @@ func (st *RepubState) planner(ignore []bool, path []int32, leaves *[]PlanLeaf[me
 
 // memSource is the in-memory PlanSource of a RepubState: global-term records
 // in insertion order with their sequence numbers, counted through the
-// state's universe.
+// state's universe. Splits partition records and seq in place; borrowed
+// marks slices that belong to the caller, which the first split copies.
 type memSource struct {
-	st      *RepubState
-	records []dataset.Record
-	seq     []uint64
+	st       *RepubState
+	records  []dataset.Record
+	seq      []uint64
+	borrowed bool
 }
 
 func (s memSource) Len() int { return len(s.records) }
@@ -220,24 +223,35 @@ func (s memSource) Count() ([]int32, error) {
 	return counts, nil
 }
 
+// Split is a stable in-place partition, like the streaming planner's slab
+// split: the without side compacts at the front, and the with side, planned
+// first, moves behind it.
 func (s memSource) Split(a, sup int32) (with, without memSource, withCounts []int32, err error) {
+	if s.borrowed {
+		s.records, s.seq = slices.Clone(s.records), slices.Clone(s.seq)
+	}
 	term := s.st.terms[a]
-	rest := len(s.records) - int(sup)
-	with = memSource{st: s.st, records: make([]dataset.Record, 0, sup), seq: make([]uint64, 0, sup)}
-	without = memSource{st: s.st, records: make([]dataset.Record, 0, rest), seq: make([]uint64, 0, rest)}
 	withCounts = make([]int32, len(s.st.terms))
+	movedR := make([]dataset.Record, 0, sup)
+	movedS := make([]uint64, 0, sup)
+	kept := 0
 	for i, r := range s.records {
 		if !r.Contains(term) {
-			without.records = append(without.records, r)
-			without.seq = append(without.seq, s.seq[i])
+			s.records[kept], s.seq[kept] = r, s.seq[i]
+			kept++
 			continue
 		}
-		with.records = append(with.records, r)
-		with.seq = append(with.seq, s.seq[i])
+		movedR = append(movedR, r)
+		movedS = append(movedS, s.seq[i])
 		for _, t := range r {
 			withCounts[s.st.id[t]]++
 		}
 	}
+	copy(s.records[kept:], movedR)
+	copy(s.seq[kept:], movedS)
+	n := len(s.records)
+	with = memSource{st: s.st, records: s.records[kept:n:n], seq: s.seq[kept:n:n]}
+	without = memSource{st: s.st, records: s.records[:kept:kept], seq: s.seq[:kept:kept]}
 	return with, without, withCounts, nil
 }
 
@@ -252,35 +266,39 @@ func newRepubShard(l PlanLeaf[memSource]) *repubShard {
 // same records into the same domain again.
 func (st *RepubState) runAll() *Anonymized {
 	var whole *dataset.DenseDomain
+	all := make([]int, len(st.shards))
+	for i := range all {
+		all[i] = i
+	}
 	if len(st.shards) == 1 {
 		whole = dataset.NewDenseDomainFromTerms(st.terms)
 	}
+	st.runShards(all, whole)
+	return st.published()
+}
+
+// runShards re-anonymizes the listed shards concurrently, each over its own
+// local dense domain (dom, or built from the shard's records when nil). Each
+// shard's output lands in its own slot and is keyed by its index, which
+// fixes its PRNG streams, so the bytes do not depend on scheduling.
+func (st *RepubState) runShards(shards []int, dom *dataset.DenseDomain) {
+	par.Do(st.opts.Parallel, len(shards), func(j int) {
+		sh := st.shards[shards[j]]
+		path := make([]dataset.Term, len(sh.path))
+		for i, a := range sh.path {
+			path[i] = st.terms[a]
+		}
+		sh.published = RunShard(sh.records, path, shards[j], dom, st.opts)
+	})
+}
+
+// published concatenates the shards' published nodes in plan order.
+func (st *RepubState) published() *Anonymized {
 	out := &Anonymized{K: st.opts.K, M: st.opts.M}
-	for i, sh := range st.shards {
-		sh.published = st.runShard(sh, i, whole)
+	for _, sh := range st.shards {
 		out.Clusters = append(out.Clusters, sh.published...)
 	}
 	return out
-}
-
-// runShard re-anonymizes one shard over its own local dense domain (dom, or
-// built from the shard's records when nil). By the monotone-remap invariance
-// the restored output is byte-identical to the shard's slice of a global
-// run, and the shard index keys the same PRNG streams either way.
-func (st *RepubState) runShard(sh *repubShard, index int, dom *dataset.DenseDomain) []*ClusterNode {
-	if dom == nil {
-		dom = dataset.NewDenseDomain(sh.records)
-	}
-	dense := dom.RemapAll(sh.records)
-	excludeBits, sensitiveBits := SensitiveBits(st.opts, dom)
-	for _, a := range sh.path {
-		if id, ok := dom.ID(st.terms[a]); ok {
-			excludeBits[id] = true
-		}
-	}
-	nodes := AnonymizeShard(Shard{Records: dense, Ignore: excludeBits, Index: index}, dom.Len(), sensitiveBits, st.opts)
-	RestoreClusters(nodes, dom)
-	return nodes
 }
 
 // Records returns the logical dataset behind the state, in insertion order
@@ -463,7 +481,7 @@ func applyWithSeq(records []dataset.Record, seq []uint64, removes []dataset.Reco
 }
 
 // samePathSet reports whether two split paths consumed the same terms, in
-// any order: runShard reads a path only as a set of barred terms.
+// any order: RunShard reads a path only as a set of barred terms.
 func samePathSet(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
@@ -604,7 +622,7 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 		for i, l := range leaves {
 			si := lo + i
 			if old := st.shards[si]; slices.Equal(old.seq, l.Source.seq) && samePathSet(old.path, l.Path) {
-				continue // runShard would reproduce old.published: keep the shard
+				continue // RunShard would reproduce old.published: keep the shard
 			}
 			ns.shards[si] = newRepubShard(l)
 			dirty = append(dirty, si)
@@ -663,15 +681,8 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 	// Re-anonymize the dirty shards (same index, same PRNG streams) and
 	// splice every clean shard's published nodes straight through.
 	slices.Sort(dirty)
-	for _, si := range dirty {
-		sh := ns.shards[si]
-		sh.published = ns.runShard(sh, si, nil)
-	}
-	out := &Anonymized{K: ns.opts.K, M: ns.opts.M}
-	for _, sh := range ns.shards {
-		out.Clusters = append(out.Clusters, sh.published...)
-	}
-	return out, ns, RepublishStats{
+	ns.runShards(dirty, nil)
+	return ns.published(), ns, RepublishStats{
 		Appended:        len(delta.Append),
 		Removed:         len(delta.Remove),
 		DirtyShards:     len(dirty),

@@ -30,7 +30,9 @@ func republishConfigs() []Options {
 // stateful pipeline (plan tree + per-shard local dense domains), which
 // Anonymize runs too, to SHA-256 digests of their WriteBinary bytes at every
 // worker count. Config 1 carries Sensitive keys, which the planner must keep
-// out of splits.
+// out of splits. The planner partitions records in place, so it also checks
+// that the caller's records keep their order and contents: the server
+// persists them as the original.
 func TestAnonymizeWithStateMatchesAnonymize(t *testing.T) {
 	want := []string{
 		"dd2b01a6be4956c095c8e416c42ff5b1b34757ae9a832594bad46504c01b7499", // 9 shards
@@ -42,9 +44,13 @@ func TestAnonymizeWithStateMatchesAnonymize(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			opts.Parallel = workers
 			d := genDataset(uint64(ci)+3, 11, 180)
+			input := d.Clone()
 			got, st, err := AnonymizeWithState(d, opts)
 			if err != nil {
 				t.Fatalf("config %d: %v", ci, err)
+			}
+			if !slices.EqualFunc(d.Records, input.Records, dataset.Record.Equal) {
+				t.Errorf("config %d workers %d: the input records changed (%d shards)", ci, workers, st.NumShards())
 			}
 			if sum := sha256.Sum256(encodeAnonymized(t, got)); hex.EncodeToString(sum[:]) != want[ci] {
 				t.Errorf("config %d workers %d: digest %x, want %s (%d shards)", ci, workers, sum, want[ci], st.NumShards())

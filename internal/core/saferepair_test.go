@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"disasso/internal/dataset"
@@ -13,7 +14,8 @@ import (
 // exactly what collectSources returns; each group's heavy list holds
 // exactly its terms with k·s > n; and next picks the breach detectBreaches
 // sorts first, with the same anchor and probability. It reports
-// whether root still has a breach.
+// whether root still has a breach. Shards repair on worker goroutines, so
+// it reports a mismatch with t.Errorf and returns false.
 func assertTracksRescan(t *testing.T, st *repairState, root *ClusterNode) bool {
 	t.Helper()
 	var flat []breachSrc
@@ -33,17 +35,20 @@ func assertTracksRescan(t *testing.T, st *repairState, root *ClusterNode) bool {
 		}
 		at = append(at, idx)
 		if len(heavy) != len(g.heavy) || (len(heavy) > 0 && !reflect.DeepEqual(heavy, g.heavy)) {
-			t.Fatalf("group %d heavy terms %v, want %v", gi, g.heavy, heavy)
+			t.Errorf("group %d heavy terms %v, want %v", gi, g.heavy, heavy)
+			return false
 		}
 	}
 	srcs := collectSources(root)
 	if !reflect.DeepEqual(flat, srcs) {
-		t.Fatalf("the state's %d sources differ from the %d collectSources rebuilds", len(flat), len(srcs))
+		t.Errorf("the state's %d sources differ from the %d collectSources rebuilds", len(flat), len(srcs))
+		return false
 	}
 	sites := detectBreaches(srcs, st.k)
 	b, ok := st.next()
 	if ok != (len(sites) > 0) {
-		t.Fatalf("next found a breach = %v, the rescan found %d", ok, len(sites))
+		t.Errorf("next found a breach = %v, the rescan found %d", ok, len(sites))
+		return false
 	}
 	if !ok {
 		return false
@@ -54,7 +59,8 @@ func assertTracksRescan(t *testing.T, st *repairState, root *ClusterNode) bool {
 		src:    at[b.g][b.src], anchor: at[b.ag][b.asrc],
 	}
 	if want := sites[0]; !reflect.DeepEqual(got, want) {
-		t.Fatalf("next picked %+v, the rescan %+v", got, want)
+		t.Errorf("next picked %+v, the rescan %+v", got, want)
+		return false
 	}
 	return true
 }
@@ -66,8 +72,13 @@ func assertTracksRescan(t *testing.T, st *repairState, root *ClusterNode) bool {
 // this cannot.
 func TestRepairStateTracksRescan(t *testing.T) {
 	defer UseSafeRepairRescan(false)()
+	// The shards of a plan repair concurrently, so the hook runs on several
+	// goroutines at once.
+	var mu sync.Mutex
 	breached := 0
 	checkRepairStep = func(st *repairState, root *ClusterNode) {
+		mu.Lock()
+		defer mu.Unlock()
 		if assertTracksRescan(t, st, root) {
 			breached++
 		}

@@ -63,18 +63,6 @@ func shardCut(n int, counts []int32, ignore []bool, terms []dataset.Term, maxSha
 	return best, bestSup, true
 }
 
-// Shard is one independently anonymizable unit of a shard plan: a contiguous
-// split-tree node's records (as dense term ids) together with the terms its
-// split path consumed (plus the caller's excluded terms). Index is the
-// shard's position in the plan's preorder; it parameterizes the shard's PRNG
-// streams so shards can be processed in any order, or concurrently, without
-// changing the output.
-type Shard struct {
-	Records []dataset.Record
-	Ignore  []bool
-	Index   int
-}
-
 // A PlanSource is the record storage behind one node of a shard plan. The
 // planner never sees records: it asks a node for its size, splits it on a
 // term index, and recounts it only when the parent's supports were not kept.
@@ -137,14 +125,18 @@ type planner[S PlanSource[S]] struct {
 
 // Plan cuts the records behind root into the shard plan of opts and hands
 // the shards to emit in preorder as it decides them: the streaming engine's
-// entry to the recursion. counts holds root's supports, terms the index →
-// global-term table and exclude the terms never usable for splits. No node
-// keeps its supports, and at most holdCap bytes of them are held across
-// with-subtrees.
-func Plan[S PlanSource[S]](root S, counts []int32, terms []dataset.Term, exclude []bool, opts Options, holdCap int64, emit func(PlanLeaf[S]) error) error {
+// entry to the recursion. counts holds root's supports and terms the index →
+// global-term table; the keys of opts.Sensitive are never usable for splits.
+// No node keeps its supports, and at most holdCap bytes of them are held
+// across with-subtrees.
+func Plan[S PlanSource[S]](root S, counts []int32, terms []dataset.Term, opts Options, holdCap int64, emit func(PlanLeaf[S]) error) error {
+	ignore := make([]bool, len(terms))
+	for i, t := range terms {
+		_, ignore[i] = opts.Sensitive[t]
+	}
 	p := &planner[S]{
 		terms: terms, maxShard: opts.MaxShardRecords, k: opts.K,
-		ignore: slices.Clone(exclude), holdCap: holdCap, emit: emit,
+		ignore: ignore, holdCap: holdCap, emit: emit,
 	}
 	_, err := p.plan(root, counts)
 	return err

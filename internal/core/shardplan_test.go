@@ -9,10 +9,18 @@ import (
 	"disasso/internal/quest"
 )
 
+// planShard is one planned shard as horPartN inputs: its records and the
+// terms its split path consumed.
+type planShard struct {
+	records []dataset.Record
+	ignore  []bool
+	index   int
+}
+
 // planDense runs the shard planner over dense records through the
-// in-memory source and returns the plan as AnonymizeShard inputs. Every id
-// 0..|T|-1 occurs in dense, so universe indexes are the ids themselves.
-func planDense(t *testing.T, dense []dataset.Record, nTerms, maxShard, k int) []Shard {
+// in-memory source and returns the plan's shards. Every id 0..|T|-1 occurs
+// in dense, so universe indexes are the ids themselves.
+func planDense(t *testing.T, dense []dataset.Record, nTerms, maxShard, k int) []planShard {
 	t.Helper()
 	seq := make([]uint64, len(dense))
 	for i := range seq {
@@ -25,13 +33,13 @@ func planDense(t *testing.T, dense []dataset.Record, nTerms, maxShard, k int) []
 	if len(st.terms) != nTerms {
 		t.Fatalf("universe holds %d terms, want %d", len(st.terms), nTerms)
 	}
-	shards := make([]Shard, len(st.shards))
+	shards := make([]planShard, len(st.shards))
 	for i, sh := range st.shards {
 		ignore := make([]bool, nTerms)
 		for _, a := range sh.path {
 			ignore[a] = true
 		}
-		shards[i] = Shard{Records: sh.records, Ignore: ignore, Index: i}
+		shards[i] = planShard{records: sh.records, ignore: ignore, index: i}
 	}
 	return shards
 }
@@ -53,7 +61,7 @@ func TestShardPlanPreservesHorPart(t *testing.T) {
 
 		total := 0
 		for _, sh := range shards {
-			total += len(sh.Records)
+			total += len(sh.records)
 		}
 		if total != len(dense) {
 			t.Fatalf("S=%d: shards cover %d of %d records", S, total, len(dense))
@@ -61,7 +69,7 @@ func TestShardPlanPreservesHorPart(t *testing.T) {
 
 		var sharded [][]dataset.Record
 		for _, sh := range shards {
-			sharded = append(sharded, horPartN(sh.Records, sh.Records, dom.Len(), sh.Ignore, 12, 1)...)
+			sharded = append(sharded, horPartN(sh.records, sh.records, dom.Len(), sh.ignore, 12, 1)...)
 		}
 		if len(sharded) != len(global) {
 			t.Fatalf("S=%d: %d sharded clusters vs %d global", S, len(sharded), len(global))
@@ -133,9 +141,9 @@ func TestShardPlanNeverStrandsBelowK(t *testing.T) {
 			for _, S := range []int{10, 25, 60} {
 				shards := planDense(t, dense, dom.Len(), S, k)
 				for _, sh := range shards {
-					if len(sh.Records) < k && len(shards) > 1 {
+					if len(sh.records) < k && len(shards) > 1 {
 						t.Fatalf("seed %d k=%d S=%d: shard %d stranded with %d < k records",
-							seed, k, S, sh.Index, len(sh.Records))
+							seed, k, S, sh.index, len(sh.records))
 					}
 				}
 			}
@@ -199,8 +207,8 @@ func TestShardCutAllRecordsOneTerm(t *testing.T) {
 	if len(shards) != 1 {
 		t.Fatalf("degenerate dataset split into %d shards, want 1", len(shards))
 	}
-	if len(shards[0].Records) != n {
-		t.Fatalf("single shard holds %d of %d records", len(shards[0].Records), n)
+	if len(shards[0].records) != n {
+		t.Fatalf("single shard holds %d of %d records", len(shards[0].records), n)
 	}
 }
 

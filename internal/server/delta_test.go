@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -192,32 +193,81 @@ func TestServerDeltaRepublish(t *testing.T) {
 	}
 }
 
+// TestServerStreamedLineage drives a stream=1 publication through its whole
+// life on a persistent server: metrics equal an in-memory publish's at the
+// cut the budget derived; each append and remove serves what a from-scratch
+// publish at that cut serves and keeps streamed and the cut; and after a
+// restart a delta still equals scratch.
+func TestServerStreamedLineage(t *testing.T) {
+	dir := t.TempDir()
+	text, d := testDataset(t, 13, 400, 30, 5)
+	logical := d.Records
+	ts1 := httptest.NewServer(New(Options{DataDir: dir}))
+	client := ts1.Client()
+	base := ts1.URL + "/v1/datasets/str"
+
+	var info DatasetInfo
+	do(t, client, "POST", base+"?k=3&m=2&seed=8&stream=1&membudget=4K", text, http.StatusCreated, &info)
+	if !info.Streamed || info.ShardRecords <= 0 || info.ShardRecords >= len(logical) {
+		t.Fatalf("streamed publish info = %+v, want streamed with a cut below %d records", info, len(logical))
+	}
+	cut := info.ShardRecords
+	opts := core.Options{K: 3, M: 2, Seed: 8, MaxShardRecords: cut}
+	checkServedAgainst(t, client, base, logical, opts, "initial")
+
+	var got, want MetricsResponse
+	do(t, client, "GET", base+"/metrics", "", http.StatusOK, &got)
+	do(t, client, "POST", fmt.Sprintf("%s/v1/datasets/mem?k=3&m=2&seed=8&shardrecords=%d", ts1.URL, cut), text, http.StatusCreated, nil)
+	do(t, client, "GET", ts1.URL+"/v1/datasets/mem/metrics", "", http.StatusOK, &want)
+	if got != want {
+		t.Errorf("streamed metrics %+v != in-memory metrics %+v", got, want)
+	}
+
+	delta := func(client *http.Client, base, op string, records []dataset.Record, version int) {
+		t.Helper()
+		var dr DeltaResponse
+		do(t, client, "POST", base+"/"+op, renderRecords(records), http.StatusOK, &dr)
+		if op == "remove" {
+			logical = removeFirst(t, logical, records)
+		} else {
+			logical = append(logical, records...)
+		}
+		if dr.Version != version || !dr.Streamed || dr.ShardRecords != cut {
+			t.Fatalf("%s: info %+v, want version %d, streamed, cut %d", op, dr.DatasetInfo, version, cut)
+		}
+		checkServedAgainst(t, client, base, logical, opts, fmt.Sprintf("%s to version %d", op, version))
+	}
+	delta(client, base, "append", []dataset.Record{{1, 2, 3}, {4, 31}, {2, 5}}, 2)
+	delta(client, base, "remove", []dataset.Record{logical[7], logical[200]}, 3)
+	ts1.Close()
+
+	srv2 := New(Options{DataDir: dir})
+	if rep, err := srv2.Recover(); err != nil || len(rep.Loaded) != 2 || len(rep.Skipped) != 0 {
+		t.Fatalf("recovery report = %+v, %v", rep, err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	delta(ts2.Client(), ts2.URL+"/v1/datasets/str", "append", []dataset.Record{{3, 7}, {1, 2, 3}}, 4)
+}
+
 // TestServerDeltaErrors covers the delta error surface: unknown datasets,
-// streamed snapshots without retained records, removals of absent records
-// (state must survive untouched), and malformed bodies.
+// removals of absent records (state must survive untouched), and malformed
+// bodies.
 func TestServerDeltaErrors(t *testing.T) {
 	text, _ := testDataset(t, 4, 120, 15, 4)
-	srv := httptest.NewServer(New(Options{TempDir: t.TempDir()}))
+	srv := httptest.NewServer(New(Options{}))
 	defer srv.Close()
 	client := srv.Client()
 
 	do(t, client, "POST", srv.URL+"/v1/datasets/ghost/append", "1 2\n", http.StatusNotFound, nil)
 	do(t, client, "POST", srv.URL+"/v1/datasets/ghost/remove", "1 2\n", http.StatusNotFound, nil)
 
-	// Streamed publishes retain no records, so deltas are impossible — and
-	// the error says how to get them.
-	do(t, client, "POST", srv.URL+"/v1/datasets/str?k=3&m=2&stream=1&membudget=1K", text, http.StatusCreated, nil)
-	var e ErrorResponse
-	do(t, client, "POST", srv.URL+"/v1/datasets/str/append", "1 2\n", http.StatusConflict, &e)
-	if !strings.Contains(e.Error, "not retained") {
-		t.Errorf("streamed append error = %q", e.Error)
-	}
-
 	do(t, client, "POST", srv.URL+"/v1/datasets/ds?k=3&m=2&shardrecords=60", text, http.StatusCreated, nil)
 	var before StatsResponse
 	do(t, client, "GET", srv.URL+"/v1/datasets/ds/stats", "", http.StatusOK, &before)
 
 	// Absent removal: 409, and the whole delta is rejected atomically.
+	var e ErrorResponse
 	do(t, client, "POST", srv.URL+"/v1/datasets/ds/remove", "7 11 13 14\n", http.StatusConflict, &e)
 	if !strings.Contains(e.Error, "not present") {
 		t.Errorf("absent-removal error = %q", e.Error)
@@ -248,13 +298,7 @@ func TestServerDeltaErrors(t *testing.T) {
 // ms/delta is the mean handler time of one append or remove, dirty-shards
 // the most shards one delta re-anonymized.
 func BenchmarkServerDelta(b *testing.B) {
-	cfg := quest.DefaultConfig()
-	cfg.NumTransactions, cfg.DomainSize, cfg.AvgTransLen, cfg.Seed = 20_260, 5000, 10, 1
-	g, err := quest.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	all := g.Generate().Records
+	all := benchLiveRecords(b)
 	published := all[:20_000]
 	seen := make(map[string]bool, len(published))
 	for _, r := range published {
@@ -270,7 +314,7 @@ func BenchmarkServerDelta(b *testing.B) {
 			held = append(held, r)
 		}
 	}
-	s := New(Options{DataDir: b.TempDir(), TempDir: b.TempDir()})
+	s := New(Options{DataDir: b.TempDir()})
 	serve := func(path, body string, status int) []byte {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
@@ -298,6 +342,56 @@ func BenchmarkServerDelta(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(2*b.N), "ms/delta")
 			b.ReportMetric(float64(dirty), "dirty-shards")
+		})
+	}
+}
+
+// benchLiveRecords generates the 20,260 Quest records (seed 1, 5k-term
+// domain, average length 10) whose first 20,000 the end-to-end benchmark's
+// publish workload publishes.
+func benchLiveRecords(b *testing.B) []dataset.Record {
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions, cfg.DomainSize, cfg.AvgTransLen, cfg.Seed = 20_260, 5000, 10, 1
+	g, err := quest.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g.Generate().Records
+}
+
+// BenchmarkServerPublish times whole publishes of the first 20,000 records
+// of BenchmarkServerDelta's data on a persistent server, driven through
+// ServeHTTP, as the end-to-end benchmark's publish workload sends them:
+//
+//   - global: k=5, m=2, seed=1, replace=1, one global shard;
+//   - stream: the same with stream=1&membudget=1M, whose cut the budget
+//     derives.
+//
+// ms/publish is the mean handler time of one publish; retained-MiB is the
+// heap still allocated after the last publish and a forced collection,
+// while the server holds the publication.
+func BenchmarkServerPublish(b *testing.B) {
+	body := renderRecords(benchLiveRecords(b)[:20_000])
+	for _, c := range []struct{ name, params string }{
+		{"global", ""},
+		{"stream", "&stream=1&membudget=1M"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := New(Options{DataDir: b.TempDir()})
+			path := "/v1/datasets/live?k=5&m=2&seed=1&replace=1" + c.params
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+				if rec.Code != http.StatusCreated {
+					b.Fatalf("POST %s: status %d; body: %s", path, rec.Code, rec.Body.Bytes())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/publish")
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "retained-MiB")
+			runtime.KeepAlive(s)
 		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"disasso/internal/core"
-	"disasso/internal/dataset"
 	"disasso/internal/query"
 	"disasso/internal/snapfile"
 )
@@ -30,12 +29,9 @@ func (s *Server) persist(sn *snapshot) error {
 	if s.opts.DataDir == "" {
 		return nil
 	}
-	var original *dataset.Dataset
-	if sn.original != nil {
-		var err error
-		if original, err = sn.original(); err != nil {
-			return err
-		}
+	original, err := sn.original()
+	if err != nil {
+		return err
 	}
 	c := snapfile.Contents{
 		Meta: snapfile.Meta{
@@ -189,6 +185,13 @@ func (s *Server) Recover() (RecoveryReport, error) {
 			_ = f.Close() // no views escaped; safe to unmap immediately
 			continue
 		}
+		if !f.HasOriginal() {
+			// Only a streamed publish of an older release wrote no
+			// originals, which deltas and metrics need.
+			rep.Skipped = append(rep.Skipped, SkippedFile{File: fname, Reason: "no original records (a streamed publish of an older release); republish the dataset"})
+			_ = f.Close()
+			continue
+		}
 		sn := s.snapshotFromFile(f)
 		l := s.lockName(name)
 		_, exists := s.lookup(name)
@@ -208,13 +211,14 @@ func (s *Server) Recover() (RecoveryReport, error) {
 }
 
 // snapshotFromFile assembles a cold serving snapshot over an opened snapshot
-// file: the estimator's singleton table and the index slabs come straight
-// from the file (zero-copy when mapped), the per-cluster chunk postings and
-// the original records stay lazy, and no anonymization state is carried —
-// the first delta against the name rehydrates it (see rehydrate).
+// file that holds an original section: the estimator's singleton table and
+// the index slabs come straight from the file (zero-copy when mapped), the
+// per-cluster chunk postings and the original records stay lazy, and no
+// anonymization state is carried — the first delta against the name
+// rehydrates it (see rehydrate).
 func (s *Server) snapshotFromFile(f *snapfile.Snapshot) *snapshot {
 	meta := f.Meta()
-	sn := &snapshot{
+	return &snapshot{
 		cache: newSupportCache(s.opts.SupportCacheEntries),
 		audit: newAuditCell(),
 		info: DatasetInfo{
@@ -226,17 +230,14 @@ func (s *Server) snapshotFromFile(f *snapfile.Snapshot) *snapshot {
 			Version:      meta.Version,
 			ShardRecords: meta.ShardRecords,
 		},
-		anon:    f.Forest(),
-		est:     query.NewRecoveredEstimator(f.Forest(), f.Index(), f.Singles()),
-		summary: meta.Summary,
-		opts:    meta.Opts,
-		cold:    true,
-		mapped:  f.Mapped(),
+		anon:     f.Forest(),
+		est:      query.NewRecoveredEstimator(f.Forest(), f.Index(), f.Singles()),
+		summary:  meta.Summary,
+		opts:     meta.Opts,
+		original: f.Original,
+		cold:     true,
+		mapped:   f.Mapped(),
 	}
-	if f.HasOriginal() {
-		sn.original = f.Original
-	}
-	return sn
 }
 
 // rehydrate rebuilds the delta-republish state of a recovered snapshot by

@@ -17,6 +17,7 @@ import (
 
 	"disasso/internal/core"
 	"disasso/internal/dataset"
+	"disasso/internal/snapfile"
 )
 
 // rawDo fetches one URL and returns the exact response bytes, for the
@@ -187,7 +188,7 @@ func TestRestartNegativeTerms(t *testing.T) {
 		}
 	}
 
-	ts1 := httptest.NewServer(New(Options{DataDir: dir, TempDir: t.TempDir()}))
+	ts1 := httptest.NewServer(New(Options{DataDir: dir}))
 	do(t, ts1.Client(), "POST", ts1.URL+"/v1/datasets/neg?k=3&m=2&shardrecords=60", text, http.StatusCreated, nil)
 	do(t, ts1.Client(), "POST", ts1.URL+"/v1/datasets/negstream?k=3&m=2&stream=1", text, http.StatusCreated, nil)
 	before := map[string][][]byte{"neg": reads(ts1, "neg"), "negstream": reads(ts1, "negstream")}
@@ -213,21 +214,23 @@ func TestRestartNegativeTerms(t *testing.T) {
 }
 
 // TestRecoverySkipsDamage is the crash-consistency contract: leftover temp
-// files are swept, corrupted snapshots and foreign files are skipped with a
-// reason, and none of it stops the healthy datasets from loading.
+// files are swept, corrupted snapshots, snapshots without originals and
+// foreign files are skipped with a reason, and none of it stops the healthy
+// datasets from loading.
 func TestRecoverySkipsDamage(t *testing.T) {
 	dir := t.TempDir()
 	text, _ := testDataset(t, 21, 200, 30, 5)
 	srv1 := New(Options{DataDir: dir})
 	ts1 := httptest.NewServer(srv1)
-	do(t, ts1.Client(), "POST", ts1.URL+"/v1/datasets/good?k=3&m=2", text, http.StatusCreated, nil)
-	do(t, ts1.Client(), "POST", ts1.URL+"/v1/datasets/hurt?k=3&m=2", text, http.StatusCreated, nil)
-	do(t, ts1.Client(), "POST", ts1.URL+"/v1/datasets/old?k=3&m=2", text, http.StatusCreated, nil)
+	for _, name := range []string{"good", "hurt", "old", "bare"} {
+		do(t, ts1.Client(), "POST", ts1.URL+"/v1/datasets/"+name+"?k=3&m=2", text, http.StatusCreated, nil)
+	}
 	ts1.Close()
 
 	// A torn write the crash left behind, a bit-rotted snapshot, a healthy
 	// snapshot stamped with format version 1 (which has no reader), a
-	// foreign file.
+	// healthy snapshot without an original section (as streamed publishes
+	// of older releases wrote them), a foreign file.
 	tmpPath := filepath.Join(dir, "half-1234.tmp")
 	if err := os.WriteFile(tmpPath, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
@@ -250,6 +253,22 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	if err := os.WriteFile(old, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	bare := filepath.Join(dir, "bare.snap")
+	f, err := snapfile.Open(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := f.Meta()
+	meta.Streamed = true
+	var buf bytes.Buffer
+	err = snapfile.Contents{Meta: meta, Forest: f.Forest(), Index: f.Index(), Singles: f.Singles()}.Write(&buf)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bare, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +281,8 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	if len(rep.Loaded) != 1 || rep.Loaded[0] != "good" {
 		t.Fatalf("loaded = %v, want [good]", rep.Loaded)
 	}
-	if len(rep.Skipped) != 4 {
-		t.Fatalf("skipped = %+v, want 4 entries", rep.Skipped)
+	if len(rep.Skipped) != 5 {
+		t.Fatalf("skipped = %+v, want 5 entries", rep.Skipped)
 	}
 	reasons := map[string]string{}
 	for _, sk := range rep.Skipped {
@@ -278,14 +297,17 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	if r := reasons["old.snap"]; !strings.Contains(r, "unsupported format version 1") {
 		t.Errorf("old-version skip reason = %q", r)
 	}
+	if r := reasons["bare.snap"]; !strings.Contains(r, "no original records") || !strings.Contains(r, "republish") {
+		t.Errorf("original-less skip reason = %q", r)
+	}
 	if r := reasons["notes.txt"]; !strings.Contains(r, "not a snapshot") {
 		t.Errorf("foreign skip reason = %q", r)
 	}
 	if _, err := os.Stat(tmpPath); !errors.Is(err, os.ErrNotExist) {
 		t.Error("leftover temp file was not removed")
 	}
-	// The damaged and the old-version artifacts stay on disk for forensics.
-	for _, path := range []string{hurt, old} {
+	// The damaged, old-version and original-less artifacts stay on disk.
+	for _, path := range []string{hurt, old, bare} {
 		if _, err := os.Stat(path); err != nil {
 			t.Errorf("skipped snapshot file was removed: %v", err)
 		}
@@ -408,7 +430,7 @@ func benchPersistedDir(b *testing.B, records int) (string, core.Options, string)
 	}
 	opts := core.Options{K: 4, M: 2, Seed: 5, MaxShardRecords: 256}
 	s := New(Options{DataDir: dir})
-	sn, err := s.publishInMemory("bench", strings.NewReader(text.String()), opts)
+	sn, err := s.publish("bench", strings.NewReader(text.String()), opts, false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -448,7 +470,7 @@ func BenchmarkColdStart(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := New(Options{})
-			if _, err := s.publishInMemory("bench", strings.NewReader(text), opts); err != nil {
+			if _, err := s.publish("bench", strings.NewReader(text), opts, false, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

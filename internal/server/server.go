@@ -14,7 +14,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -22,7 +21,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
 	"regexp"
 	"slices"
 	"strconv"
@@ -46,9 +44,6 @@ type Options struct {
 	// MaxReconstructions caps the samples of one reconstruction request;
 	// 0 means 16.
 	MaxReconstructions int
-	// TempDir hosts spill files of streamed publishes; "" means the system
-	// temp directory.
-	TempDir string
 	// SupportCacheEntries bounds the per-snapshot support cache (see
 	// cache.go): 0 means the default (8192 entries), negative disables
 	// caching. Each published snapshot gets its own cache, so a republish
@@ -109,13 +104,14 @@ type snapshot struct {
 	est     *query.Estimator
 	summary core.Summary
 	// opts are the effective anonymization options the publication was
-	// produced with — persisted in the snapshot file and used to rehydrate
-	// delta-republish state after a restart.
+	// produced with, a stream publish's budget-derived cut included —
+	// persisted in the snapshot file and used to rehydrate delta-republish
+	// state.
 	opts core.Options
-	// original lazily yields the original dataset; nil when the records were
-	// not retained (streamed publishes). In-memory publishes capture the
-	// dataset directly; recovered snapshots decode it from the snapshot
-	// file's original section on first use (metrics or the first delta).
+	// original lazily yields the original dataset; it is never nil.
+	// Publishes and deltas capture the dataset directly; recovered snapshots
+	// decode it from the snapshot file's original section on first use
+	// (metrics or the first delta).
 	original func() (*dataset.Dataset, error)
 	// cold marks a snapshot recovered from disk rather than built by a
 	// publish in this process; mapped additionally reports that its index
@@ -123,12 +119,12 @@ type snapshot struct {
 	// where the reader fell back to a heap read).
 	cold   bool
 	mapped bool
-	// state is the retained delta-republish state; nil for streamed publishes
-	// (the streaming engine does not keep records, so such snapshots cannot
-	// accept deltas) and for recovered snapshots, which rehydrate it from the
-	// persisted original on their first delta. It carries no serving state:
-	// every published or delta snapshot builds its index and estimator in
-	// full (newSnapshot), and a recovered one reads them from its file.
+	// state is the retained delta-republish state; nil for streamed
+	// publishes, whose budget asked for a small working set, and for
+	// recovered snapshots: both rehydrate it from the original on their
+	// first delta. It carries no serving state: every published or delta
+	// snapshot builds its index and estimator in full (newSnapshot), and a
+	// recovered one reads them from its file.
 	state *core.RepubState
 	// cache memoizes support estimates for this snapshot only (nil when
 	// disabled). It is a mutable field, internally synchronized, and
@@ -148,7 +144,9 @@ type DatasetInfo struct {
 	Records  int    `json:"records"`
 	Terms    int    `json:"terms"`
 	Clusters int    `json:"clusters"` // top-level cluster nodes
-	Streamed bool   `json:"streamed"` // published via the streaming engine
+	// Streamed reports a publish with stream=1, whose shard cut the memory
+	// budget derived; its deltas keep the flag and the cut.
+	Streamed bool `json:"streamed"`
 	// Version counts the publications behind this name: 1 for the initial
 	// publish, +1 for every replace and every delta republish. Each version is
 	// an immutable snapshot; a reader that saw version v keeps serving from it
@@ -427,9 +425,9 @@ func queryUint64(r *http.Request, key string, def uint64) (uint64, error) {
 // handlePublish loads the uploaded dataset (text format, one record of
 // whitespace-separated integer term ids per line), anonymizes it with the
 // parameters given as query values (k, m, maxcluster, seed, shardrecords,
-// norefine; stream=1 selects the bounded-memory streaming engine with
-// membudget), and registers the published snapshot. Re-publishing an
-// existing name needs replace=1.
+// norefine; stream=1 derives the shard cut from membudget as the streaming
+// engine would, unless shardrecords is given), and registers the published
+// snapshot. Re-publishing an existing name needs replace=1.
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !nameRe.MatchString(name) {
@@ -462,22 +460,16 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	var (
-		sn  *snapshot
-		err error
-	)
-	if q.Get("stream") == "1" {
-		var budget int64
-		budget, err = dataset.ParseByteSize(q.Get("membudget"))
-		if err != nil {
+	stream := q.Get("stream") == "1"
+	var budget int64
+	if stream {
+		var err error
+		if budget, err = dataset.ParseByteSize(q.Get("membudget")); err != nil {
 			s.writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		sn, err = s.publishStreamed(name, body, opts, budget)
-	} else {
-		sn, err = s.publishInMemory(name, body, opts)
 	}
+	sn, err := s.publish(name, http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), opts, stream, budget)
 	if err != nil {
 		s.publishError(w, err)
 		return
@@ -513,95 +505,59 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusCreated, sn.info)
 }
 
-// internalError marks a failure of the server's own machinery (spill files,
-// re-reading its own output) as opposed to a bad request.
-type internalError struct{ err error }
-
-func (e internalError) Error() string { return e.err.Error() }
-func (e internalError) Unwrap() error { return e.err }
-
 // publishError maps a failed publish to a status: oversized bodies are 413,
-// server-side machinery failures are 500, everything else (parse errors,
-// k/m validation) is a 400.
+// everything else (parse errors, k/m validation) is a 400.
 func (s *Server) publishError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		s.writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
 	}
-	var internal internalError
-	if errors.As(err, &internal) {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
 	s.writeError(w, http.StatusBadRequest, "%v", err)
 }
 
-// publishInMemory runs the standard pipeline with retained delta-republish
-// state (the published bytes are identical to a plain Anonymize), keeping the
-// original for the metrics endpoint and the state for the next delta.
-func (s *Server) publishInMemory(name string, body io.Reader, opts core.Options) (*snapshot, error) {
+// publish runs the stateful pipeline (the published bytes are identical to a
+// plain Anonymize), keeping the original for metrics and deltas. A stream
+// publish without an explicit cut takes the one the streaming engine would
+// derive from budget (shard.Cut), so it publishes the engine's bytes; the
+// server holds the whole publication in memory either way, so the budget
+// only chooses the cut. Its snapshot does not keep the republish state (the
+// plan tree with its retained supports, and the shard lists), which keeps
+// its resident set near what the budget asked for; the first delta
+// rehydrates the state, as for a recovered snapshot.
+func (s *Server) publish(name string, body io.Reader, opts core.Options, stream bool, budget int64) (*snapshot, error) {
 	d, err := dataset.ReadIDs(body)
 	if err != nil {
 		return nil, err
+	}
+	if stream && opts.MaxShardRecords == 0 {
+		copts, err := core.ShardOptions(opts)
+		if err != nil {
+			return nil, err
+		}
+		var terms int64
+		for _, r := range d.Records {
+			terms += int64(len(r))
+		}
+		opts.MaxShardRecords = shard.Cut(copts, budget, d.Len(), terms)
 	}
 	a, st, err := core.AnonymizeWithState(d, opts)
 	if err != nil {
 		return nil, err
 	}
-	return newSnapshot(name, a, st, d, opts, s.opts.SupportCacheEntries), nil
-}
-
-// publishStreamed runs the sharded streaming engine: the upload is
-// anonymized in bounded memory (spilling to TempDir) and the publication
-// re-read from its compact binary form. The original records are not
-// retained — that is the point of streaming — so the snapshot serves
-// support, reconstruction and stats but not original-vs-published metrics.
-func (s *Server) publishStreamed(name string, body io.Reader, opts core.Options, budget int64) (*snapshot, error) {
-	// The engine's serialized output goes through a spill file, not an
-	// in-memory buffer: buffering it would reintroduce exactly the
-	// unbounded working set stream publishing exists to avoid.
-	spill, err := os.CreateTemp(s.opts.TempDir, "disassod-publish-*.bin")
-	if err != nil {
-		return nil, internalError{err}
+	sn := newSnapshot(name, a, st, d, opts, s.opts.SupportCacheEntries)
+	if stream {
+		sn.state = nil
+		sn.info.Streamed = true
 	}
-	defer func() {
-		// Cleanup of a temp file whose bytes were already consumed by
-		// ReadBinary; a close failure here cannot lose published data.
-		_ = spill.Close()
-		_ = os.Remove(spill.Name())
-	}()
-	bw := bufio.NewWriter(spill)
-	st, err := shard.Anonymize(body, bw, shard.Options{
-		Core:         opts,
-		MemoryBudget: budget,
-		TempDir:      s.opts.TempDir,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, internalError{err}
-	}
-	if _, err := spill.Seek(0, io.SeekStart); err != nil {
-		return nil, internalError{err}
-	}
-	a, err := core.ReadBinary(bufio.NewReader(spill))
-	if err != nil {
-		return nil, internalError{fmt.Errorf("re-reading streamed publication: %w", err)}
-	}
-	sn := newSnapshot(name, a, nil, nil, opts, s.opts.SupportCacheEntries)
-	sn.info.Streamed = true
-	sn.info.ShardRecords = st.ShardRecords
 	return sn, nil
 }
 
 // newSnapshot builds the immutable serving state of a publication — summary,
 // inverted index and estimator, each built in full — plus the snapshot's own
-// empty support cache and audit cell. st and original are the retained
-// delta-republish state and the original records of an in-memory publish or
-// delta; the info then reports the state's effective shard cut. A streamed
-// publish passes nil for both and fills in Streamed and its cut itself.
+// empty support cache and audit cell. st and original are the
+// delta-republish state and the original records of a publish or delta; the
+// info reports the state's effective shard cut.
 func newSnapshot(name string, a *core.Anonymized, st *core.RepubState, original *dataset.Dataset, opts core.Options, cacheEntries int) *snapshot {
 	sum := a.Stats()
 	sn := &snapshot{
@@ -613,17 +569,15 @@ func newSnapshot(name string, a *core.Anonymized, st *core.RepubState, original 
 			Terms:    sum.DistinctTerms,
 			Clusters: len(a.Clusters),
 		},
-		anon:    a,
-		est:     query.NewEstimator(a),
-		summary: sum,
-		opts:    opts,
-		state:   st,
+		anon:     a,
+		est:      query.NewEstimator(a),
+		summary:  sum,
+		opts:     opts,
+		state:    st,
+		original: func() (*dataset.Dataset, error) { return original, nil },
 	}
 	if st != nil {
 		sn.info.ShardRecords = st.Options().MaxShardRecords
-	}
-	if original != nil {
-		sn.original = func() (*dataset.Dataset, error) { return original, nil }
 	}
 	return sn
 }
@@ -696,21 +650,16 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, remove bool
 		s.writeError(w, http.StatusNotFound, "no dataset %q", name)
 		return
 	}
-	if sn.state == nil && sn.original == nil {
-		s.writeError(w, http.StatusConflict,
-			"dataset %q was published via the streaming engine; the records needed for delta republish were not retained (republish it non-streamed to enable append/remove)", name)
-		return
-	}
 	state := sn.state
 	if state == nil {
-		// A recovered snapshot carries the original records but not the live
-		// republish state (the shard plan and its shards). Rehydrate it
-		// once by re-running the stateful pipeline over the persisted
-		// original with the persisted options — byte-identical to the
-		// pre-restart publication by the delta-republish determinism
-		// guarantee — then apply the delta to it as usual. This is the one
-		// place recovery pays anonymization cost, and only on the first
-		// mutation of a recovered name, never on the read path.
+		// A recovered or streamed snapshot carries the original records but
+		// not the live republish state (the shard plan and its shards).
+		// Rehydrate it once by re-running the stateful pipeline over the
+		// original with the snapshot's options — byte-identical to the
+		// publication by the delta-republish determinism guarantee — then
+		// apply the delta to it as usual. This is the one place recovery
+		// pays anonymization cost, and only on the first mutation of the
+		// name, never on the read path.
 		if state, err = s.rehydrate(sn); err != nil {
 			s.logf("disassod: rehydrating republish state of %q: %v", name, err)
 			s.writeError(w, http.StatusInternalServerError, "rehydrating republish state: %v", err)
@@ -729,6 +678,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, remove bool
 
 	next := newSnapshot(name, a, st, dataset.FromRecords(st.Records()), sn.opts, s.opts.SupportCacheEntries)
 	next.info.Version = sn.info.Version + 1
+	next.info.Streamed = sn.info.Streamed
 
 	if err := s.persist(next); err != nil {
 		s.logf("disassod: persisting %q: %v", name, err)
@@ -870,11 +820,6 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sn := s.snapshotOr404(w, r)
 	if sn == nil {
-		return
-	}
-	if sn.original == nil {
-		s.writeError(w, http.StatusConflict,
-			"dataset %q was published via the streaming engine; the original records were not retained, so original-vs-published metrics are unavailable", sn.info.Name)
 		return
 	}
 	original, err := sn.original()

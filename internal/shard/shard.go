@@ -171,7 +171,7 @@ func (e *engine) run(r io.Reader, w io.Writer) (Stats, error) {
 	e.dom = dataset.NewDenseDomainFromTerms(terms)
 	st.Terms = e.dom.Len()
 
-	e.resolveShardSize()
+	e.copts.MaxShardRecords = Cut(e.copts, e.budget, e.numRecords, e.totalTerms)
 	copts = e.copts
 	st.ShardRecords = copts.MaxShardRecords
 
@@ -190,7 +190,6 @@ func (e *engine) run(r io.Reader, w io.Writer) (Stats, error) {
 		return st, core.WriteBinary(w, a)
 	}
 
-	exclude, sensitive := core.SensitiveBits(copts, e.dom)
 	f, err := e.create("input")
 	if err != nil {
 		return st, err
@@ -199,7 +198,7 @@ func (e *engine) run(r io.Reader, w io.Writer) (Stats, error) {
 	// Supports held across with-subtrees while planning are capped at a
 	// quarter of the budget; past it the without side recounts its node.
 	root := &source{e: e, n: e.numRecords, path: e.spill.f.Name(), size: e.spill.cw.n}
-	if err := core.Plan(root, counts, terms, exclude, copts, e.budget/4, e.emit); err != nil {
+	if err := core.Plan(root, counts, terms, copts, e.budget/4, e.emit); err != nil {
 		return st, err
 	}
 	if err := e.input.bw.Flush(); err != nil {
@@ -208,7 +207,7 @@ func (e *engine) run(r io.Reader, w io.Writer) (Stats, error) {
 	e.spillBytes.Add(e.input.n)
 	st.Shards = len(e.shards)
 
-	if err := e.processShards(exclude, sensitive); err != nil {
+	if err := e.processShards(); err != nil {
 		return st, err
 	}
 	for i := range e.shards {
@@ -376,35 +375,40 @@ func (e *engine) startSpill() error {
 	return nil
 }
 
-// resolveShardSize fixes the shard cut: an explicit Core.MaxShardRecords
-// wins; otherwise the cut targets one worker's slice of the memory budget,
-// assuming pipelineExpansion bytes of working state per resident record
-// byte. The choice is written back into copts so the core path sees the
-// exact same effective options.
-func (e *engine) resolveShardSize() {
-	if e.copts.MaxShardRecords > 0 {
-		return
+// Cut returns the shard cut of a streamed run over records records holding
+// terms term occurrences in all: opts.MaxShardRecords when set, otherwise
+// one worker's slice of the memory budget (DefaultMemoryBudget when budget
+// is not positive), assuming pipelineExpansion bytes of working state per
+// resident record byte, and never below MaxClusterSize. opts must be
+// defaulted (core.ShardOptions): Parallel and MaxClusterSize enter the
+// formula.
+func Cut(opts core.Options, budget int64, records int, terms int64) int {
+	if opts.MaxShardRecords > 0 {
+		return opts.MaxShardRecords
 	}
-	workers := e.copts.Parallel
+	if budget <= 0 {
+		budget = DefaultMemoryBudget
+	}
+	workers := opts.Parallel
 	if workers < 1 {
 		workers = 1
 	}
 	avgLen := float64(10)
-	if e.numRecords > 0 {
-		avgLen = float64(e.totalTerms) / float64(e.numRecords)
+	if records > 0 {
+		avgLen = float64(terms) / float64(records)
 	}
 	perRecord := pipelineExpansion * float64(recordFootprint(int(math.Ceil(avgLen))))
-	s := int(float64(e.budget) / perRecord / float64(workers))
-	if s < e.copts.MaxClusterSize {
-		s = e.copts.MaxClusterSize
+	s := int(float64(budget) / perRecord / float64(workers))
+	if s < opts.MaxClusterSize {
+		s = opts.MaxClusterSize
 	}
-	e.copts.MaxShardRecords = s
+	return s
 }
 
 // processShards runs the core pipeline over every planned shard on the
 // worker pool, each worker appending its shards' published clusters to its
 // own body file.
-func (e *engine) processShards(exclude, sensitive []bool) error {
+func (e *engine) processShards() error {
 	workers := min(max(e.copts.Parallel, 1), len(e.shards))
 	e.bodies = make([]*os.File, workers)
 	for w := range e.bodies {
@@ -422,13 +426,14 @@ func (e *engine) processShards(exclude, sensitive []bool) error {
 			sh.err = err
 			return
 		}
-		ignore := make([]bool, e.dom.Len())
-		copy(ignore, exclude)
-		for _, t := range sh.pathTerms {
-			ignore[t] = true
+		for _, r := range records {
+			e.dom.RestoreRecord(r)
 		}
-		nodes := core.AnonymizeShard(core.Shard{Records: records, Ignore: ignore, Index: i}, e.dom.Len(), sensitive, e.copts)
-		core.RestoreClusters(nodes, e.dom)
+		path := make([]dataset.Term, len(sh.pathTerms))
+		for j, a := range sh.pathTerms {
+			path[j] = e.dom.TermOf(dataset.Term(a))
+		}
+		nodes := core.RunShard(records, path, i, nil, e.copts)
 
 		sh.clusters = len(nodes)
 		sh.body, sh.bodyOff = w, ends[w]

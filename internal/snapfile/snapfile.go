@@ -94,6 +94,8 @@ const (
 // Meta is the snapshot's JSON-encoded metadata section: everything disassod
 // needs to rebuild its registry entry (and, together with the original
 // section, to rehydrate delta-republish state) without touching the slabs.
+// Streamed marks a stream=1 publication; its Opts carry the cut the budget
+// derived, so rehydration reproduces it.
 type Meta struct {
 	Name     string `json:"name"`
 	K        int    `json:"k"`
@@ -125,8 +127,10 @@ type Contents struct {
 	Index *qindex.Index
 	// Singles is the estimator's singleton table, in the index's rank order.
 	Singles []query.Estimate
-	// Original, when non-nil, is the retained original dataset (absent for
-	// streamed publishes).
+	// Original is the publication's original dataset. disassod always
+	// writes it and skips a file without it on recovery, since deltas and
+	// metrics need it; nil writes no original section, which the reader
+	// accepts.
 	Original *dataset.Dataset
 }
 

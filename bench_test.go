@@ -209,33 +209,40 @@ func BenchmarkAnonymizeEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkAnonymizeGlobal times the end-to-end benchmark's two one-shard
-// publishes in process, at k=5, m=2, seed 1 and the default worker count:
+// BenchmarkAnonymizeGlobal times one-shard publishes in process, at k=5,
+// m=2, seed 1 and the default worker count. The first two are the end-to-end
+// benchmark's; the last two have long records, up to 74 and 44 terms:
 //
 //   - paper20k: the publish workload's in-memory publish, the first 20k
 //     Quest records at seed 1 (5k-term domain, average length 10);
 //   - read50k: the read workloads' set-up, the first 50k records of the
-//     same data.
+//     same data;
+//   - pos: the POS stand-in at scale 10 (51,559 records, 1,657 terms);
+//   - wv2: the WV2 stand-in (77,512 records, 3,340 terms).
 func BenchmarkAnonymizeGlobal(b *testing.B) {
-	cfg := quest.DefaultConfig()
-	cfg.NumTransactions = 50_000
-	cfg.DomainSize = 5_000
-	cfg.AvgTransLen = 10
-	cfg.Seed = 1
-	g, err := quest.New(cfg)
-	if err != nil {
-		b.Fatal(err)
+	quest50k := func() []dataset.Record {
+		cfg := quest.DefaultConfig()
+		cfg.NumTransactions = 50_000
+		cfg.DomainSize = 5_000
+		cfg.AvgTransLen = 10
+		cfg.Seed = 1
+		g, err := quest.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g.Generate().Records
 	}
-	all := g.Generate().Records
 	for _, shape := range []struct {
 		name string
-		n    int
+		gen  func() []dataset.Record
 	}{
-		{"paper20k", 20_000},
-		{"read50k", 50_000},
+		{"paper20k", func() []dataset.Record { return quest50k()[:20_000] }},
+		{"read50k", quest50k},
+		{"pos", func() []dataset.Record { return realdata.POS.Scaled(10).Generate().Records }},
+		{"wv2", func() []dataset.Record { return realdata.WV2.Generate().Records }},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			d := dataset.FromRecords(all[:shape.n])
+			d := dataset.FromRecords(shape.gen())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -16,7 +16,7 @@
 //
 //	GET    /healthz
 //	GET    /v1/datasets
-//	POST   /v1/datasets/{name}?k=5&m=2[&shardrecords=N][&stream=1&membudget=256M]
+//	POST   /v1/datasets/{name}?k=5&m=2[&shardrecords=N][&stream=1&membudget=256M][&safe=1][&replace=1]
 //	DELETE /v1/datasets/{name}
 //	POST   /v1/datasets/{name}/append         body: records, one per line
 //	POST   /v1/datasets/{name}/remove         body: records, one per line
@@ -25,6 +25,13 @@
 //	GET    /v1/datasets/{name}/support?itemset=3,17
 //	POST   /v1/datasets/{name}/reconstruct    {"samples": 2, "seed": 7}
 //	GET    /v1/datasets/{name}/metrics
+//	GET    /v1/datasets/{name}/breaches
+//
+// A publish takes safe=1 for safe disassociation, which repairs every
+// cover-problem breach before the snapshot is installed, and replace=1 to
+// republish over an existing name (without it, an existing name is a 409).
+// The breaches endpoint serves the cover-problem breach audit of the
+// current snapshot, computed on its first request and cached with it.
 //
 // Append and remove are incremental delta republishes: each produces a new
 // immutable snapshot version whose bytes are identical to a from-scratch

@@ -70,6 +70,7 @@ func horPartN(emit, dense []dataset.Record, nTerms int, excludeBits []bool, maxC
 		return &mfBuf{counts: make([]int32, nTerms), stamp: make([]uint64, nTerms)}
 	}
 	hp.tables.New = func() any { return &supports{c: make([]int32, nTerms)} }
+	hp.marks.New = func() any { return newMarks(n) }
 
 	rootIgnore := make([]bool, nTerms)
 	copy(rootIgnore, excludeBits)
@@ -78,9 +79,14 @@ func horPartN(emit, dense []dataset.Record, nTerms int, excludeBits []bool, maxC
 		root.idx[i] = int32(i)
 		root.occ += len(dense[i])
 	}
-	if hp.carries(root.occ) {
-		root.sup = hp.tables.Get().(*supports)
-		hp.countInto(root.sup.c, root.idx)
+	if n >= hp.max { // the root splits
+		hp.post = newPostings(dense, nTerms)
+		if hp.carries(root.occ) {
+			root.sup = hp.tables.Get().(*supports)
+			for t := range root.sup.c {
+				root.sup.c[t] = int32(len(hp.post.of(int32(t))))
+			}
+		}
 	}
 	return hp.split(root, rootIgnore, 0)
 }
@@ -90,11 +96,13 @@ func horPartN(emit, dense []dataset.Record, nTerms int, excludeBits []bool, maxC
 type horPartition struct {
 	records []dataset.Record
 	recs    []dataset.Record // records as sorted dense term ids
+	post    postings         // term -> indexes of recs, when the root splits
 	nTerms  int
 	max     int
 	spare   atomic.Int32 // extra goroutines still allowed
 	pool    sync.Pool    // *mfBuf epoch-stamped support counters
 	tables  sync.Pool    // *supports, zeroed
+	marks   sync.Pool    // *marks over recs, for divide
 }
 
 // hpNode is one node of the split tree: its records, their total term
@@ -248,22 +256,22 @@ func (hp *horPartition) splitTerm(nd hpNode, ignore []bool) (int32, int32, bool)
 
 // divide splits the node's records by containment of dense term a, whose
 // support sup among them is already known, keeping their relative order on
-// both sides (each side allocates exactly once). A side that carries
-// supports gets them without a recount of its own: the with side counts its
-// records, and the without side takes over the parent's table minus the with
-// side's supports — every occurrence lands on exactly one side, the rule the
-// shard planner uses too. The parent's table is ceded to the call.
+// both sides (each side allocates exactly once): through a's posting list,
+// or by a search in each record when the list is much longer than the node
+// (postings.go). A side that carries supports gets them without a recount
+// of its own: the with side counts its records, and the without side takes
+// over the parent's table minus the with side's supports — every occurrence
+// lands on exactly one side, the rule the shard planner uses too. The
+// parent's table is ceded to the call.
 func (hp *horPartition) divide(nd hpNode, a, sup int32) (with, without hpNode) {
-	with.idx = make([]int32, 0, sup)
-	without.idx = make([]int32, 0, len(nd.idx)-int(sup))
-	for _, ri := range nd.idx {
-		r := hp.recs[ri]
-		if _, found := slices.BinarySearch(r, dataset.Term(a)); found {
-			with.idx = append(with.idx, ri)
-			with.occ += len(r)
-		} else {
-			without.idx = append(without.idx, ri)
-		}
+	m := hp.marks.Get().(*marks)
+	with.idx, without.idx = hp.post.partition(nd.idx, a, m, func(ri int32) bool {
+		_, found := slices.BinarySearch(hp.recs[ri], dataset.Term(a))
+		return found
+	}, make([]int32, 0, sup), make([]int32, 0, len(nd.idx)-int(sup)))
+	hp.marks.Put(m)
+	for _, ri := range with.idx {
+		with.occ += len(hp.recs[ri])
 	}
 	without.occ = nd.occ - with.occ
 

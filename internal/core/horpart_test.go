@@ -207,12 +207,18 @@ func TestHorPartMinimumClusterSize(t *testing.T) {
 type refSplitStats struct {
 	carried, recounted int // splits of nodes on either side of the carry threshold
 	ties               int // splits whose best support another term tied
+	// marked and searched count the splits HORPART partitions through the
+	// split term's posting list and those where the list is longer than
+	// markedSplitRatio times the node, so it searches each record.
+	marked, searched int
 }
 
 // refHorPart is the reference HORPART: every node recounts its records'
 // supports and splits on the most frequent unignored term, ties toward the
-// smaller id, with side first. It returns the clusters as record indices.
-func refHorPart(recs []dataset.Record, idx []int32, ignore []bool, bound int, st *refSplitStats) [][]int32 {
+// smaller id, with side first, by searching the term in each record. It
+// returns the clusters as record indices. listLen holds each term's support
+// over all of recs, the length of its posting list.
+func refHorPart(recs []dataset.Record, idx []int32, ignore []bool, listLen []int, bound int, st *refSplitStats) [][]int32 {
 	if len(idx) == 0 {
 		return nil
 	}
@@ -249,6 +255,11 @@ func refHorPart(recs []dataset.Record, idx []int32, ignore []bool, bound int, st
 	if tied {
 		st.ties++
 	}
+	if listLen[best] > markedSplitRatio*len(idx) {
+		st.searched++
+	} else {
+		st.marked++
+	}
 	var with, without []int32
 	for _, ri := range idx {
 		if recs[ri].Contains(dataset.Term(best)) {
@@ -258,9 +269,9 @@ func refHorPart(recs []dataset.Record, idx []int32, ignore []bool, bound int, st
 		}
 	}
 	ignore[best] = true
-	out := refHorPart(recs, with, ignore, bound, st)
+	out := refHorPart(recs, with, ignore, listLen, bound, st)
 	ignore[best] = false
-	return append(out, refHorPart(recs, without, ignore, bound, st)...)
+	return append(out, refHorPart(recs, without, ignore, listLen, bound, st)...)
 }
 
 // lopsidedChain builds a split tree that is a chain of the given depth: block
@@ -287,12 +298,15 @@ func lopsidedChain(depth, size int, rng *rand.Rand) []dataset.Record {
 	return recs
 }
 
-// TestHorPartMatchesRecountOracle: HORPART with carried supports must emit
-// the clusters of the recount-every-split reference — the same records in
-// the same order — at 1 and 4 workers, on Quest data (with and without its
-// most frequent terms excluded) and on a lopsided chain deeper than
-// maxSpawnDepth, where splitIter carries the tables. Every input must split
-// nodes on both sides of the carry threshold and split on support ties.
+// TestHorPartMatchesRecountOracle: HORPART with carried supports and
+// postings-partitioned splits must emit the clusters of the
+// recount-every-split reference, which searches the split term in each
+// record — the same records in the same order — at 1 and 4 workers, on
+// Quest data (with and without its most frequent terms excluded) and on a
+// lopsided chain deeper than maxSpawnDepth, where splitIter carries the
+// tables. Every input must split nodes on both sides of the carry threshold,
+// split on support ties, and partition through a posting list; the Quest
+// inputs must also fall back to the per-record search.
 func TestHorPartMatchesRecountOracle(t *testing.T) {
 	cfg := quest.DefaultConfig()
 	cfg.NumTransactions, cfg.DomainSize, cfg.AvgTransLen, cfg.Seed = 3_000, 400, 8, 5
@@ -314,16 +328,17 @@ func TestHorPartMatchesRecountOracle(t *testing.T) {
 	chainRecs := lopsidedChain(2*maxSpawnDepth, 20, rand.New(rand.NewPCG(3, 9)))
 
 	cases := []struct {
-		name    string
-		records []dataset.Record
-		exclude []dataset.Term // global terms barred from splitting
-		bound   int            // the cluster-size bound
+		name     string
+		records  []dataset.Record
+		exclude  []dataset.Term // global terms barred from splitting
+		bound    int            // the cluster-size bound
+		fallback bool           // some split searches each record
 	}{
-		{"quest", questRecs, nil, 30},
-		{"quest-excluded", questRecs, frequent, 30},
-		{"quest-small-clusters", questRecs, nil, 5},
-		{"chain", chainRecs, nil, 16},
-		{"chain-excluded", chainRecs, []dataset.Term{5, 2*maxSpawnDepth + 10}, 16},
+		{"quest", questRecs, nil, 30, true},
+		{"quest-excluded", questRecs, frequent, 30, true},
+		{"quest-small-clusters", questRecs, nil, 5, true},
+		{"chain", chainRecs, nil, 16, false},
+		{"chain-excluded", chainRecs, []dataset.Term{5, 2*maxSpawnDepth + 10}, 16, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -345,13 +360,25 @@ func TestHorPartMatchesRecountOracle(t *testing.T) {
 				idx[i] = int32(i)
 				emit[i] = dataset.Record{dataset.Term(i)}
 			}
+			listLen := make([]int, dom.Len())
+			for _, r := range dense {
+				for _, term := range r {
+					listLen[term]++
+				}
+			}
 			var st refSplitStats
-			want := refHorPart(dense, idx, slices.Clone(exclude), tc.bound, &st)
+			want := refHorPart(dense, idx, slices.Clone(exclude), listLen, tc.bound, &st)
 			if st.carried == 0 || st.recounted == 0 {
 				t.Fatalf("input splits %d carrying and %d recounting nodes; the oracle needs both", st.carried, st.recounted)
 			}
 			if st.ties == 0 {
 				t.Fatal("input splits on no support tie")
+			}
+			if st.marked == 0 {
+				t.Fatal("no split goes through a posting list")
+			}
+			if tc.fallback && st.searched == 0 {
+				t.Fatal("no split searches each record: the input misses the posting lists' fallback")
 			}
 			for _, workers := range []int{1, 4} {
 				got := horPartN(emit, dense, dom.Len(), exclude, tc.bound, workers)
@@ -369,7 +396,8 @@ func TestHorPartMatchesRecountOracle(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%d clusters; splits: %d carrying, %d recounting, %d ties", len(want), st.carried, st.recounted, st.ties)
+			t.Logf("%d clusters; splits: %d carrying, %d recounting, %d ties, %d through postings, %d searching each record",
+				len(want), st.carried, st.recounted, st.ties, st.marked, st.searched)
 		})
 	}
 }

@@ -55,7 +55,7 @@ func (l *leafState) ensureSupports() {
 	if l.supTerms != nil {
 		return
 	}
-	l.supTerms = collectTerms(l.records)
+	l.supTerms = dataset.DistinctTerms(l.records)
 	l.supCounts = make([]int32, len(l.supTerms))
 	for _, r := range l.records {
 		l.termTotal += len(r)
@@ -434,6 +434,7 @@ type orderScratch struct {
 	keyFlat []int32
 	bucket  []int32 // per-rank node buckets (counting sort of key entries)
 	cursor  []int32
+	start   []int32 // per-tcs bucket starts (rankTerms' counting sort)
 	idx     []int
 	tmp     []*refNode
 }
@@ -463,12 +464,7 @@ func (o *orderScratch) order(nodes []*refNode) {
 		}
 	}
 	// Global rank: higher tcs first, then smaller term ID.
-	slices.SortFunc(touched, func(a, b dataset.Term) int {
-		if o.tcs[a] != o.tcs[b] {
-			return int(o.tcs[b]) - int(o.tcs[a])
-		}
-		return int(a) - int(b)
-	})
+	o.rankTerms(touched)
 	o.touched = touched
 	for i, t := range touched {
 		o.rank[t] = int32(i)
@@ -548,6 +544,40 @@ func (o *orderScratch) order(nodes []*refNode) {
 
 	for _, t := range touched {
 		o.tcs[t] = 0
+	}
+}
+
+// rankTerms orders the touched terms (those with tcs > 0) by descending tcs,
+// ties toward the smaller id. It counting-sorts them: a bucket per tcs value,
+// highest first, filled by one ascending walk over the terms' id span, so
+// each bucket comes out id-ascending. That costs O(span + max tcs), where
+// the span is at most the domain and the largest tcs at most the key
+// entries order already walks.
+func (o *orderScratch) rankTerms(touched []dataset.Term) {
+	if len(touched) == 0 {
+		return
+	}
+	lo, hi, top := touched[0], touched[0], int32(0)
+	for _, t := range touched {
+		lo, hi, top = min(lo, t), max(hi, t), max(top, o.tcs[t])
+	}
+	if cap(o.start) < int(top)+1 {
+		o.start = make([]int32, top+1+top/2)
+	}
+	start := o.start[:top+1]
+	clear(start)
+	for _, t := range touched {
+		start[o.tcs[t]]++
+	}
+	pos := int32(0)
+	for c := top; c > 0; c-- {
+		pos, start[c] = pos+start[c], pos
+	}
+	for t := lo; t <= hi; t++ {
+		if c := o.tcs[t]; c > 0 {
+			touched[start[c]] = t
+			start[c]++
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"disasso/internal/dataset"
@@ -250,6 +252,41 @@ func TestOrderByTermChunksGroupsSharers(t *testing.T) {
 		p := pos[term]
 		if len(p) == 2 && p[1]-p[0] != 1 {
 			t.Errorf("clusters sharing term %d are at positions %v, not adjacent", term, p)
+		}
+	}
+}
+
+// TestRankTermsMatchesComparator: the counting-sort ranks must equal the
+// comparison sort on (tcs descending, id ascending) over random tcs tables
+// full of ties, dense and sparse over the domain.
+func TestRankTermsMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewPCG(12, 13))
+	const nTerms = 2_000
+	o := newOrderScratch(nTerms)
+	for trial := range 300 {
+		// A dense trial touches most terms of a narrow id window; a sparse
+		// one a few terms scattered over the whole domain.
+		window := 1 + rng.IntN(nTerms)
+		share := 1 + rng.IntN(100)
+		top := 1 + rng.IntN(12)
+		var touched []dataset.Term
+		for _, off := range rng.Perm(window) {
+			if rng.IntN(100) < share {
+				term := dataset.Term(nTerms - window + off)
+				o.tcs[term] = int32(1 + rng.IntN(top))
+				touched = append(touched, term)
+			}
+		}
+		want := slices.Clone(touched)
+		slices.SortFunc(want, func(a, b dataset.Term) int {
+			return cmp.Or(cmp.Compare(o.tcs[b], o.tcs[a]), cmp.Compare(a, b))
+		})
+		o.rankTerms(touched)
+		if !slices.Equal(touched, want) {
+			t.Fatalf("trial %d: ranks %v, want %v", trial, touched, want)
+		}
+		for _, term := range touched {
+			o.tcs[term] = 0
 		}
 	}
 }

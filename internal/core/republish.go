@@ -173,7 +173,7 @@ func newRepubState(records []dataset.Record, seq []uint64, nextSeq uint64, opts 
 	}
 	var leaves []PlanLeaf[memSource]
 	p := st.planner(slices.Clone(st.excluded), nil, &leaves)
-	root, err := p.plan(memSource{st: st, records: records, seq: seq, borrowed: true}, nil)
+	root, err := p.plan(newMemSource(st, records, seq), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -200,24 +200,70 @@ func (st *RepubState) planner(ignore []bool, path []int32, leaves *[]PlanLeaf[me
 	}
 }
 
-// memSource is the in-memory PlanSource of a RepubState: global-term records
-// in insertion order with their sequence numbers, counted through the
-// state's universe. Splits partition records and seq in place; borrowed
-// marks slices that belong to the caller, which the first split copies.
+// memSource is the in-memory PlanSource of a RepubState: one node's records,
+// as their positions in the plan root's record list, ascending (so in
+// insertion order). Splits partition the positions in place.
 type memSource struct {
-	st       *RepubState
-	records  []dataset.Record
-	seq      []uint64
-	borrowed bool
+	root *memRoot
+	pos  []int32
 }
 
-func (s memSource) Len() int { return len(s.records) }
+// memRoot is what the nodes of one in-memory plan share: the root's
+// global-term records and their sequence numbers, read and never modified,
+// and, from the first count or split on, the records as term indexes of the
+// state's universe, their postings and the split scratch.
+type memRoot struct {
+	st      *RepubState
+	records []dataset.Record
+	seq     []uint64
+
+	uni   []dataset.Record // records as universe term indexes; nil until indexed
+	post  postings
+	marks *marks
+	moved []int32 // a split's with side, before it moves behind the without side
+}
+
+// newMemSource returns the plan root over records, whose insertion
+// sequence numbers are seq.
+func newMemSource(st *RepubState, records []dataset.Record, seq []uint64) memSource {
+	pos := make([]int32, len(records))
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	return memSource{root: &memRoot{st: st, records: records, seq: seq}, pos: pos}
+}
+
+// index remaps the root's records onto the universe's term indexes, once,
+// and builds their postings.
+func (r *memRoot) index() {
+	if r.uni != nil {
+		return
+	}
+	total := 0
+	for _, rec := range r.records {
+		total += len(rec)
+	}
+	flat := make([]dataset.Term, 0, total)
+	r.uni = make([]dataset.Record, len(r.records))
+	for i, rec := range r.records {
+		start := len(flat)
+		for _, t := range rec {
+			flat = append(flat, dataset.Term(r.st.id[t]))
+		}
+		r.uni[i] = flat[start:len(flat):len(flat)]
+	}
+	r.post = newPostings(r.uni, len(r.st.terms))
+	r.marks = newMarks(len(r.records))
+}
+
+func (s memSource) Len() int { return len(s.pos) }
 
 func (s memSource) Count() ([]int32, error) {
-	counts := make([]int32, len(s.st.terms))
-	for _, r := range s.records {
-		for _, t := range r {
-			counts[s.st.id[t]]++
+	s.root.index()
+	counts := make([]int32, len(s.root.st.terms))
+	for _, p := range s.pos {
+		for _, t := range s.root.uni[p] {
+			counts[t]++
 		}
 	}
 	return counts, nil
@@ -227,37 +273,56 @@ func (s memSource) Count() ([]int32, error) {
 // split: the without side compacts at the front, and the with side, planned
 // first, moves behind it.
 func (s memSource) Split(a, sup int32) (with, without memSource, withCounts []int32, err error) {
-	if s.borrowed {
-		s.records, s.seq = slices.Clone(s.records), slices.Clone(s.seq)
-	}
-	term := s.st.terms[a]
-	withCounts = make([]int32, len(s.st.terms))
-	movedR := make([]dataset.Record, 0, sup)
-	movedS := make([]uint64, 0, sup)
-	kept := 0
-	for i, r := range s.records {
-		if !r.Contains(term) {
-			s.records[kept], s.seq[kept] = r, s.seq[i]
-			kept++
-			continue
-		}
-		movedR = append(movedR, r)
-		movedS = append(movedS, s.seq[i])
-		for _, t := range r {
-			withCounts[s.st.id[t]]++
+	r := s.root
+	r.index()
+	term := r.st.terms[a]
+	moved, kept := r.post.partition(s.pos, a, r.marks, func(p int32) bool {
+		return r.records[p].Contains(term)
+	}, r.moved[:0], s.pos[:0])
+	withCounts = make([]int32, len(r.st.terms))
+	for _, p := range moved {
+		for _, t := range r.uni[p] {
+			withCounts[t]++
 		}
 	}
-	copy(s.records[kept:], movedR)
-	copy(s.seq[kept:], movedS)
-	n := len(s.records)
-	with = memSource{st: s.st, records: s.records[kept:n:n], seq: s.seq[kept:n:n]}
-	without = memSource{st: s.st, records: s.records[:kept:kept], seq: s.seq[:kept:kept]}
+	n := len(s.pos)
+	copy(s.pos[len(kept):], moved)
+	r.moved = moved
+	with = memSource{root: r, pos: s.pos[len(kept):n:n]}
+	without = memSource{root: r, pos: kept[:len(kept):len(kept)]}
 	return with, without, withCounts, nil
 }
 
-// newRepubShard turns a planned leaf into a shard state.
+// sameSeqs reports whether the source's records carry exactly the insertion
+// sequence numbers seq, in order.
+func (s memSource) sameSeqs(seq []uint64) bool {
+	if len(seq) != len(s.pos) {
+		return false
+	}
+	for i, p := range s.pos {
+		if s.root.seq[p] != seq[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// newRepubShard turns a planned leaf into a shard state. The leaf of a plan
+// that never split shares the root's slices.
 func newRepubShard(l PlanLeaf[memSource]) *repubShard {
-	return &repubShard{records: l.Source.records, seq: l.Source.seq, path: l.Path}
+	r := l.Source.root
+	if len(l.Source.pos) == len(r.records) {
+		return &repubShard{records: r.records, seq: r.seq, path: l.Path}
+	}
+	sh := &repubShard{
+		records: make([]dataset.Record, len(l.Source.pos)),
+		seq:     make([]uint64, len(l.Source.pos)),
+		path:    l.Path,
+	}
+	for i, p := range l.Source.pos {
+		sh.records[i], sh.seq[i] = r.records[p], r.seq[p]
+	}
+	return sh
 }
 
 // runAll anonymizes every shard of a freshly built state and assembles the
@@ -612,7 +677,7 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 			return nil, err
 		}
 		leaves, p.next = nil, lo
-		nd, err := p.plan(memSource{st: ns, records: records, seq: seq}, counts)
+		nd, err := p.plan(newMemSource(ns, records, seq), counts)
 		if err != nil {
 			return nil, err
 		}
@@ -621,7 +686,7 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 		}
 		for i, l := range leaves {
 			si := lo + i
-			if old := st.shards[si]; slices.Equal(old.seq, l.Source.seq) && samePathSet(old.path, l.Path) {
+			if old := st.shards[si]; l.Source.sameSeqs(old.seq) && samePathSet(old.path, l.Path) {
 				continue // RunShard would reproduce old.published: keep the shard
 			}
 			ns.shards[si] = newRepubShard(l)

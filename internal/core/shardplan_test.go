@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"disasso/internal/dataset"
@@ -281,5 +283,162 @@ func BenchmarkShardPlan(b *testing.B) {
 			}
 			b.ReportMetric(float64(st.NumShards()), "shards")
 		})
+	}
+}
+
+// searchSource is the reference in-memory PlanSource: it splits by
+// searching the split term in every record and counts through the
+// universe's term map, into fresh slices.
+type searchSource struct {
+	st      *RepubState
+	records []dataset.Record
+	seq     []uint64
+	splits  *searchSplits
+}
+
+// searchSplits counts the splits that memSource partitions through the split
+// term's posting list and those where the list — the term's support over the
+// plan root's records — is longer than markedSplitRatio times the node, so
+// memSource searches each record.
+type searchSplits struct {
+	rootCounts       []int32
+	marked, searched int
+}
+
+func (s searchSource) Len() int { return len(s.records) }
+
+func (s searchSource) Count() ([]int32, error) {
+	counts := make([]int32, len(s.st.terms))
+	for _, r := range s.records {
+		for _, t := range r {
+			counts[s.st.id[t]]++
+		}
+	}
+	return counts, nil
+}
+
+func (s searchSource) Split(a, _ int32) (with, without searchSource, withCounts []int32, err error) {
+	if int(s.splits.rootCounts[a]) > markedSplitRatio*len(s.records) {
+		s.splits.searched++
+	} else {
+		s.splits.marked++
+	}
+	with, without = searchSource{st: s.st, splits: s.splits}, searchSource{st: s.st, splits: s.splits}
+	for i, r := range s.records {
+		if r.Contains(s.st.terms[a]) {
+			with.records, with.seq = append(with.records, r), append(with.seq, s.seq[i])
+		} else {
+			without.records, without.seq = append(without.records, r), append(without.seq, s.seq[i])
+		}
+	}
+	withCounts, err = with.Count()
+	return with, without, withCounts, err
+}
+
+// samePlanTree compares two plan trees node by node.
+func samePlanTree(a, b *planNode) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.n == b.n && slices.Equal(a.counts, b.counts) && a.term == b.term && a.sup == b.sup &&
+		a.shard == b.shard && samePlanTree(a.with, b.with) && samePlanTree(a.without, b.without)
+}
+
+// TestMemSourceMatchesSearch: the in-memory planner's postings-partitioned
+// splits must build the plan tree and shards of the per-record search
+// reference, over a universe in ascending term order and over one whose
+// index order is shuffled (as a delta-grown universe's is), at cuts whose
+// plans split through posting lists and fall back to the search.
+func TestMemSourceMatchesSearch(t *testing.T) {
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions, cfg.DomainSize, cfg.AvgTransLen, cfg.Seed = 3_000, 300, 8, 7
+	g, err := quest.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := g.Generate().Records
+	seq := make([]uint64, len(records))
+	for i := range seq {
+		seq[i] = uint64(3 * i)
+	}
+	terms := dataset.NewDenseDomain(records).Terms()
+	shuffled := slices.Clone(terms)
+	rand.New(rand.NewPCG(8, 8)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	var marked, searched int
+	for _, universe := range []struct {
+		name  string
+		terms []dataset.Term
+	}{{"ascending", terms}, {"shuffled", shuffled}} {
+		for _, cut := range []int{40, 300} {
+			st := &RepubState{
+				opts:     Options{K: 5, M: 2, MaxShardRecords: cut}.withDefaults(),
+				terms:    universe.terms,
+				id:       make(map[dataset.Term]int32, len(universe.terms)),
+				excluded: make([]bool, len(universe.terms)),
+			}
+			for i, term := range universe.terms {
+				st.id[term] = int32(i)
+			}
+			var got []PlanLeaf[memSource]
+			src := newMemSource(st, records, seq)
+			gotTree, err := st.planner(slices.Clone(st.excluded), nil, &got).plan(src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []PlanLeaf[searchSource]
+			ref := &planner[searchSource]{
+				terms: st.terms, maxShard: st.opts.MaxShardRecords, k: st.opts.K,
+				ignore: slices.Clone(st.excluded), retain: true,
+				emit: func(l PlanLeaf[searchSource]) error {
+					want = append(want, l)
+					return nil
+				},
+			}
+			refRoot := searchSource{st: st, records: records, seq: seq, splits: &searchSplits{}}
+			if refRoot.splits.rootCounts, err = refRoot.Count(); err != nil {
+				t.Fatal(err)
+			}
+			wantTree, err := ref.plan(refRoot, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s universe, cut %d", universe.name, cut)
+			if !samePlanTree(gotTree, wantTree) {
+				t.Fatalf("%s: plan trees differ", name)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d shards, want %d", name, len(got), len(want))
+			}
+			for i := range want {
+				sh := newRepubShard(got[i])
+				if !slices.Equal(sh.seq, want[i].Source.seq) || !slices.Equal(sh.path, want[i].Path) {
+					t.Fatalf("%s: shard %d differs in its seqs or split path", name, i)
+				}
+				if !got[i].Source.sameSeqs(want[i].Source.seq) || got[i].Source.sameSeqs(want[i].Source.seq[1:]) {
+					t.Fatalf("%s: shard %d: sameSeqs disagrees with its gathered seqs", name, i)
+				}
+				for _, j := range []int{0, len(sh.seq) - 1} {
+					other := slices.Clone(sh.seq)
+					other[j]++
+					if got[i].Source.sameSeqs(other) {
+						t.Fatalf("%s: shard %d: sameSeqs misses a changed seq at %d", name, i, j)
+					}
+				}
+				for j, r := range sh.records {
+					if !r.Equal(want[i].Source.records[j]) {
+						t.Fatalf("%s: shard %d record %d differs", name, i, j)
+					}
+				}
+			}
+			marked += refRoot.splits.marked
+			searched += refRoot.splits.searched
+			t.Logf("%s: %d shards; splits: %d through postings, %d searching each record",
+				name, len(want), refRoot.splits.marked, refRoot.splits.searched)
+		}
+	}
+	if marked == 0 || searched == 0 {
+		t.Fatalf("%d splits through postings, %d searched: the plans need both", marked, searched)
 	}
 }

@@ -30,30 +30,16 @@ type clusterIndex struct {
 	enum    subsetEnum   // reusable subset enumeration state
 }
 
-// collectTerms returns the sorted distinct terms of a record bag. Dense
-// local ids are positions in this list, so they ascend with global terms —
-// the invariant the packed combination keys, VERPART's candidate ordering
-// and HORPART's tie-breaking all rely on.
-func collectTerms(records []dataset.Record) []dataset.Term {
-	total := 0
-	for _, r := range records {
-		total += len(r)
-	}
-	all := make([]dataset.Term, 0, total)
-	for _, r := range records {
-		all = append(all, r...)
-	}
-	slices.Sort(all)
-	return slices.Compact(all)
-}
-
 // buildClusterIndex scans the record bag once and builds the dense remapping.
+// Dense local ids are positions in the sorted distinct terms, so they ascend
+// with global terms — the invariant the packed combination keys, VERPART's
+// candidate ordering and HORPART's tie-breaking all rely on.
 func buildClusterIndex(records []dataset.Record) *clusterIndex {
 	total := 0
 	for _, r := range records {
 		total += len(r)
 	}
-	terms := collectTerms(records)
+	terms := dataset.DistinctTerms(records)
 
 	ix := &clusterIndex{records: records, terms: terms}
 

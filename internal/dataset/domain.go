@@ -1,6 +1,9 @@
 package dataset
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // DenseDomain is a monotone bijection between a dataset's global terms and
 // the dense ids 0..Len()-1, assigned in ascending term order. Remapping a
@@ -24,16 +27,64 @@ type DenseDomain struct {
 
 // NewDenseDomain collects the distinct terms of the records into a domain.
 func NewDenseDomain(records []Record) *DenseDomain {
+	return newDenseDomain(DistinctTerms(records))
+}
+
+// presenceSpanRatio bounds the presence table of DistinctTerms: a table over
+// the terms' span is used while the span is at most this many times the
+// number of term occurrences, and the occurrences are sorted past it.
+const presenceSpanRatio = 4
+
+// DistinctTerms returns the distinct terms of the lists in ascending order
+// (empty, not nil, when there are none). Term ids are dense in practice, so
+// it marks each occurrence in a presence table over the span of the terms
+// and reads the table out in order: linear in the occurrences plus the
+// span. Sparse ids, whose span exceeds presenceSpanRatio times the
+// occurrence count, are collected and sorted instead.
+func DistinctTerms[L ~[]Term](lists []L) []Term {
 	total := 0
-	for _, r := range records {
-		total += len(r)
+	lo, hi := Term(math.MaxInt32), Term(math.MinInt32)
+	for _, l := range lists {
+		total += len(l)
+		for _, t := range l {
+			lo, hi = min(lo, t), max(hi, t)
+		}
 	}
-	all := make([]Term, 0, total)
-	for _, r := range records {
-		all = append(all, r...)
+	if total == 0 {
+		return []Term{}
 	}
-	slices.Sort(all)
-	return newDenseDomain(slices.Compact(all))
+	if !presenceFits(lo, hi, total) {
+		all := make([]Term, 0, total)
+		for _, l := range lists {
+			all = append(all, l...)
+		}
+		slices.Sort(all)
+		// A copy, so that a domain does not keep every occurrence alive.
+		return slices.Clone(slices.Compact(all))
+	}
+	seen := make([]bool, int64(hi)-int64(lo)+1)
+	distinct := 0
+	for _, l := range lists {
+		for _, t := range l {
+			if off := int64(t) - int64(lo); !seen[off] {
+				seen[off] = true
+				distinct++
+			}
+		}
+	}
+	out := make([]Term, 0, distinct)
+	for off, ok := range seen {
+		if ok {
+			out = append(out, Term(int64(lo)+int64(off)))
+		}
+	}
+	return out
+}
+
+// presenceFits reports whether DistinctTerms marks a presence table for
+// total term occurrences spanning lo..hi, rather than sorting them.
+func presenceFits(lo, hi Term, total int) bool {
+	return int64(hi)-int64(lo)+1 <= presenceSpanRatio*int64(total)
 }
 
 // NewDenseDomainFromTerms wraps an already sorted, duplicate-free term list

@@ -109,3 +109,74 @@ func TestDenseDomainRemapAllPanicsOutsideDomain(t *testing.T) {
 	}()
 	dd.RemapAll([]Record{NewRecord(2, 5)})
 }
+
+// TestDistinctTermsMatchesSort: DistinctTerms must return what sorting and
+// compacting every occurrence returns, on dense ids, sparse ids beyond the
+// presence table's bound, negative ids and ids at both int32 ends, with
+// inputs on both sides of that bound and on it.
+func TestDistinctTermsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 62))
+	random := func(n int, lo, span int64) []Record {
+		records := make([]Record, n)
+		for i := range records {
+			terms := make([]Term, 1+rng.IntN(8))
+			for j := range terms {
+				terms[j] = Term(lo + rng.Int64N(span))
+			}
+			records[i] = NewRecord(terms...)
+		}
+		return records
+	}
+	// run is a list of consecutive ids from lo, in records of one term.
+	run := func(lo Term, n int) []Record {
+		records := make([]Record, n)
+		for i := range records {
+			records[i] = Record{lo + Term(i)}
+		}
+		return records
+	}
+	cases := []struct {
+		name    string
+		records []Record
+	}{
+		{"empty", nil},
+		{"empty records", []Record{{}, {}}},
+		{"dense", random(200, 0, 300)},
+		{"dense negative", random(200, -150, 300)},
+		{"sparse", random(50, -1<<29, 1<<30)},
+		{"span under the bound", []Record{{0}, {0}, {7}}}, // 8 ids, 3 occurrences
+		{"span at the bound", []Record{{0, 7}}},           // 8 ids, 2 occurrences
+		{"span past the bound", []Record{{0}, {8}}},       // 9 ids, 2 occurrences
+		{"int32 low end", append(run(math.MinInt32, 5), Record{math.MinInt32 + 2})},
+		{"int32 high end", run(math.MaxInt32-4, 5)},
+		{"both int32 ends", []Record{{math.MinInt32, -1, 0, math.MaxInt32}}},
+	}
+	var table, sorted int
+	for _, tc := range cases {
+		var all []Term
+		for _, r := range tc.records {
+			all = append(all, r...)
+		}
+		want := slices.Compact(slices.Sorted(slices.Values(all)))
+		got := DistinctTerms(tc.records)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: DistinctTerms = %v, want %v", tc.name, got, want)
+		}
+		if len(all) > 0 {
+			if presenceFits(slices.Min(all), slices.Max(all), len(all)) {
+				table++
+			} else {
+				sorted++
+			}
+		}
+		if dd := NewDenseDomain(tc.records); !slices.Equal(dd.Terms(), want) {
+			t.Fatalf("%s: NewDenseDomain terms = %v, want %v", tc.name, dd.Terms(), want)
+		}
+	}
+	if table == 0 || sorted == 0 {
+		t.Fatalf("%d inputs marked a presence table and %d sorted; the cases need both", table, sorted)
+	}
+	if !presenceFits(0, 7, 2) || presenceFits(0, 8, 2) {
+		t.Fatal("the presence bound is not a span of 4 ids per occurrence")
+	}
+}

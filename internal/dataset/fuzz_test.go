@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -111,17 +113,46 @@ func FuzzBinaryRecordReader(f *testing.F) {
 
 // FuzzDenseDomainID reads the input as little-endian int32 terms, normalizes
 // them into a domain, and requires DenseDomain.ID to agree with a binary
-// search on every term, its neighbours and both int32 ends.
+// search on every term, its neighbours and both int32 ends. The terms are
+// also cut into records of up to four terms (the first byte picks the
+// width) and built through NewDenseDomain, whose terms must be the
+// normalized list: through its presence table or its sort, whichever the
+// span picks.
 func FuzzDenseDomainID(f *testing.F) {
+	le := func(terms ...int32) []byte {
+		var b []byte
+		for _, t := range terms {
+			b = binary.LittleEndian.AppendUint32(b, uint32(t))
+		}
+		return b
+	}
 	f.Add([]byte{})
 	f.Add([]byte{7, 0, 0, 0})
 	f.Add([]byte{0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f, 0xfb, 0xff, 0xff, 0xff})
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0, 1, 0, 0})
+	f.Add(le(-3, 4, -3))                                          // 8 ids, 3 terms: a presence table
+	f.Add(le(-3, 5))                                              // 9 ids, 2 terms: sorted
+	f.Add(le(math.MinInt32, math.MinInt32+5, math.MinInt32+1))    // the low end, a table
+	f.Add(le(math.MaxInt32, math.MaxInt32-6, math.MaxInt32-2))    // the high end, a table
+	f.Add(le(math.MaxInt32, -1, math.MinInt32, 0, math.MaxInt32)) // both ends, sorted
 	f.Fuzz(func(t *testing.T, data []byte) {
 		terms := make([]Term, len(data)/4)
 		for i := range terms {
 			terms[i] = Term(int32(binary.LittleEndian.Uint32(data[4*i:])))
 		}
-		checkIDs(t, NewRecord(terms...))
+		want := NewRecord(terms...)
+		checkIDs(t, want)
+
+		width := 1
+		if len(data) > 0 {
+			width += int(data[0] % 4)
+		}
+		var records []Record
+		for i := 0; i < len(terms); i += width {
+			records = append(records, NewRecord(terms[i:min(i+width, len(terms))]...))
+		}
+		if got := NewDenseDomain(records).Terms(); !slices.Equal(got, want) {
+			t.Fatalf("NewDenseDomain over %d records: terms %v, want %v", len(records), got, want)
+		}
 	})
 }

@@ -124,15 +124,13 @@ func chunkTerms(node *core.ClusterNode, visit func([]dataset.Term)) {
 }
 
 // collectDomain returns the published domain as a sorted term slice — the
-// rank space — in one flat pass (the forest-walk analogue of
-// core.collectTerms).
+// rank space — from one walk that gathers every chunk's term list.
 func collectDomain(a *core.Anonymized) []dataset.Term {
-	var all []dataset.Term
+	var lists [][]dataset.Term
 	for _, node := range a.Clusters {
-		chunkTerms(node, func(terms []dataset.Term) { all = append(all, terms...) })
+		chunkTerms(node, func(terms []dataset.Term) { lists = append(lists, terms) })
 	}
-	slices.Sort(all)
-	return slices.Compact(all)
+	return dataset.DistinctTerms(lists)
 }
 
 // MustRank returns the rank of a term that must be in the domain (panics

@@ -425,7 +425,8 @@ func queryUint64(r *http.Request, key string, def uint64) (uint64, error) {
 // handlePublish loads the uploaded dataset (text format, one record of
 // whitespace-separated integer term ids per line), anonymizes it with the
 // parameters given as query values (k, m, maxcluster, seed, shardrecords,
-// norefine; stream=1 derives the shard cut from membudget as the streaming
+// norefine; safe=1 runs safe disassociation, repairing every cover-problem
+// breach; stream=1 derives the shard cut from membudget as the streaming
 // engine would, unless shardrecords is given), and registers the published
 // snapshot. Re-publishing an existing name needs replace=1.
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {

@@ -220,29 +220,17 @@ func BenchmarkAnonymizeEndToEnd(b *testing.B) {
 //   - pos: the POS stand-in at scale 10 (51,559 records, 1,657 terms);
 //   - wv2: the WV2 stand-in (77,512 records, 3,340 terms).
 func BenchmarkAnonymizeGlobal(b *testing.B) {
-	quest50k := func() []dataset.Record {
-		cfg := quest.DefaultConfig()
-		cfg.NumTransactions = 50_000
-		cfg.DomainSize = 5_000
-		cfg.AvgTransLen = 10
-		cfg.Seed = 1
-		g, err := quest.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return g.Generate().Records
-	}
 	for _, shape := range []struct {
 		name string
-		gen  func() []dataset.Record
+		gen  func(*testing.B) []dataset.Record
 	}{
-		{"paper20k", func() []dataset.Record { return quest50k()[:20_000] }},
-		{"read50k", quest50k},
-		{"pos", func() []dataset.Record { return realdata.POS.Scaled(10).Generate().Records }},
-		{"wv2", func() []dataset.Record { return realdata.WV2.Generate().Records }},
+		{"paper20k", func(b *testing.B) []dataset.Record { return benchQuest50k(b)[:20_000] }},
+		{"read50k", benchQuest50k},
+		{"pos", func(*testing.B) []dataset.Record { return realdata.POS.Scaled(10).Generate().Records }},
+		{"wv2", func(*testing.B) []dataset.Record { return realdata.WV2.Generate().Records }},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			d := dataset.FromRecords(shape.gen())
+			d := dataset.FromRecords(shape.gen(b))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -252,6 +240,22 @@ func BenchmarkAnonymizeGlobal(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchQuest50k generates the end-to-end benchmark's data: the first 50k
+// Quest records at seed 1, over a 5k-term domain, average length 10.
+func benchQuest50k(b *testing.B) []dataset.Record {
+	b.Helper()
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions = 50_000
+	cfg.DomainSize = 5_000
+	cfg.AvgTransLen = 10
+	cfg.Seed = 1
+	g, err := quest.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g.Generate().Records
 }
 
 // BenchmarkAnonymizeEndToEndParallel sweeps the worker count with REFINE
@@ -539,13 +543,40 @@ func BenchmarkSupportIndexed(b *testing.B) {
 }
 
 // BenchmarkSupportIndexBuild measures the one-time cost the indexed path
-// pays: inverted index plus singleton precomputation.
+// pays, query.NewEstimator: the inverted index, the node-level term index
+// and the singleton table. Every published or delta snapshot pays it. The
+// forests, all at k=5, m=2, seed 1:
+//
+//   - query20k: benchPublication's, 20k records over a 1k-term domain;
+//   - paper20k and read50k: BenchmarkAnonymizeGlobal's one-shard publishes,
+//     which the end-to-end benchmark's publish and read workloads serve;
+//   - live20k: the paper20k records at a 2,000-record shard cut, the
+//     publish workload's delta-updated dataset.
 func BenchmarkSupportIndexBuild(b *testing.B) {
-	a, _ := benchQueryWorkload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		query.NewEstimator(a)
+	anonymize := func(b *testing.B, records []dataset.Record, cut int) *core.Anonymized {
+		a, err := core.Anonymize(dataset.FromRecords(records), core.Options{K: 5, M: 2, Seed: 1, MaxShardRecords: cut})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
+	}
+	for _, shape := range []struct {
+		name string
+		gen  func(*testing.B) *core.Anonymized
+	}{
+		{"query20k", func(b *testing.B) *core.Anonymized { _, a := benchPublication(b); return a }},
+		{"paper20k", func(b *testing.B) *core.Anonymized { return anonymize(b, benchQuest50k(b)[:20_000], 0) }},
+		{"read50k", func(b *testing.B) *core.Anonymized { return anonymize(b, benchQuest50k(b), 0) }},
+		{"live20k", func(b *testing.B) *core.Anonymized { return anonymize(b, benchQuest50k(b)[:20_000], 2_000) }},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			a := shape.gen(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query.NewEstimator(a)
+			}
+		})
 	}
 }
 

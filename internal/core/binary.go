@@ -23,7 +23,7 @@ import (
 //	chunk  := record(Domain), uvarint #subrecords, record...
 //	record := uvarint len, then delta-encoded terms as uvarints: the
 //	          first as its uint32 bit pattern, subsequent gaps ≥ 1
-//	          (dataset.EncodeRecord)
+//	          (dataset.AppendRecord)
 const binaryMagic = "DSA1"
 
 // WriteBinary writes the publication in the compact binary format. It is the
@@ -46,60 +46,38 @@ func WriteBinary(w io.Writer, a *Anonymized) error {
 	return bw.Flush()
 }
 
-func writeNode(put func(uint64) error, n *ClusterNode) error {
+// appendNode appends the encoding of one cluster node to dst.
+func appendNode(dst []byte, n *ClusterNode) []byte {
 	if n.IsLeaf() {
-		if err := put(0); err != nil {
-			return err
-		}
 		cl := n.Simple
-		if err := put(uint64(cl.Size)); err != nil {
-			return err
-		}
-		if err := put(uint64(len(cl.RecordChunks))); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, 0)
+		dst = binary.AppendUvarint(dst, uint64(cl.Size))
+		dst = binary.AppendUvarint(dst, uint64(len(cl.RecordChunks)))
 		for _, c := range cl.RecordChunks {
-			if err := writeChunk(put, c); err != nil {
-				return err
-			}
+			dst = appendChunk(dst, c)
 		}
-		return dataset.EncodeRecord(put, cl.TermChunk)
+		return dataset.AppendRecord(dst, cl.TermChunk)
 	}
-	if err := put(1); err != nil {
-		return err
-	}
-	if err := put(uint64(len(n.Children))); err != nil {
-		return err
-	}
+	dst = binary.AppendUvarint(dst, 1)
+	dst = binary.AppendUvarint(dst, uint64(len(n.Children)))
 	for _, child := range n.Children {
-		if err := writeNode(put, child); err != nil {
-			return err
-		}
+		dst = appendNode(dst, child)
 	}
-	if err := put(uint64(len(n.SharedChunks))); err != nil {
-		return err
-	}
+	dst = binary.AppendUvarint(dst, uint64(len(n.SharedChunks)))
 	for _, c := range n.SharedChunks {
-		if err := writeChunk(put, c); err != nil {
-			return err
-		}
+		dst = appendChunk(dst, c)
 	}
-	return nil
+	return dst
 }
 
-func writeChunk(put func(uint64) error, c Chunk) error {
-	if err := dataset.EncodeRecord(put, c.Domain); err != nil {
-		return err
-	}
-	if err := put(uint64(len(c.Subrecords))); err != nil {
-		return err
-	}
+// appendChunk appends the encoding of one chunk to dst.
+func appendChunk(dst []byte, c Chunk) []byte {
+	dst = dataset.AppendRecord(dst, c.Domain)
+	dst = binary.AppendUvarint(dst, uint64(len(c.Subrecords)))
 	for _, sr := range c.Subrecords {
-		if err := dataset.EncodeRecord(put, sr); err != nil {
-			return err
-		}
+		dst = dataset.AppendRecord(dst, sr)
 	}
-	return nil
+	return dst
 }
 
 // ReadBinary parses a publication written by WriteBinary.

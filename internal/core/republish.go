@@ -110,10 +110,13 @@ type RepubState struct {
 	// The republish term universe: every term the dataset has ever contained,
 	// in first-seen order (ascending for the initial build; terms appended
 	// later keep their index for the lifetime of the state chain, so plan-node
-	// count slices stay comparable across deltas). id is the inverse map.
+	// count slices stay comparable across deltas). id is the inverse map, and
+	// dom the initial build's domain, whose dense ids are the universe
+	// indexes of its terms (see index).
 	terms []dataset.Term
 	//lint:ignore densedomain boundary bookkeeping keyed by global terms: the universe outlives any one shard-local dense domain
 	id       map[dataset.Term]int32
+	dom      *dataset.DenseDomain
 	excluded []bool // per term index: a Sensitive key, never usable for splits
 
 	// root is the plan tree; its nodes keep the supports shardCut read, so
@@ -159,15 +162,14 @@ func newRepubState(records []dataset.Record, seq []uint64, nextSeq uint64, opts 
 	dom := dataset.NewDenseDomain(records)
 	st := &RepubState{
 		opts:  opts,
-		terms: make([]dataset.Term, dom.Len()),
+		terms: dom.Terms(),
 		//lint:ignore densedomain boundary bookkeeping keyed by global terms: the universe outlives any one shard-local dense domain
 		id:       make(map[dataset.Term]int32, dom.Len()),
+		dom:      dom,
 		excluded: make([]bool, dom.Len()),
 		nextSeq:  nextSeq,
 	}
-	for i := range st.terms {
-		t := dom.TermOf(dataset.Term(i))
-		st.terms[i] = t
+	for i, t := range st.terms {
 		st.id[t] = int32(i)
 		_, st.excluded[i] = opts.Sensitive[t]
 	}
@@ -233,6 +235,19 @@ func newMemSource(st *RepubState, records []dataset.Record, seq []uint64) memSou
 	return memSource{root: &memRoot{st: st, records: records, seq: seq}, pos: pos}
 }
 
+// index returns the universe index of a term the universe holds: its dense
+// id when the initial domain holds it, since the initial universe is that
+// domain in id order, and otherwise, for a term a delta added or a universe
+// built without a domain, its entry in id.
+func (st *RepubState) index(t dataset.Term) int32 {
+	if st.dom != nil {
+		if i, ok := st.dom.ID(t); ok {
+			return i
+		}
+	}
+	return st.id[t]
+}
+
 // index remaps the root's records onto the universe's term indexes, once,
 // and builds their postings.
 func (r *memRoot) index() {
@@ -248,7 +263,7 @@ func (r *memRoot) index() {
 	for i, rec := range r.records {
 		start := len(flat)
 		for _, t := range rec {
-			flat = append(flat, dataset.Term(r.st.id[t]))
+			flat = append(flat, dataset.Term(r.st.index(t)))
 		}
 		r.uni[i] = flat[start:len(flat):len(flat)]
 	}
@@ -326,9 +341,9 @@ func newRepubShard(l PlanLeaf[memSource]) *repubShard {
 }
 
 // runAll anonymizes every shard of a freshly built state and assembles the
-// published dataset. A fresh universe is the sorted domain of all records,
-// so the only shard of a one-shard plan runs over it instead of sorting the
-// same records into the same domain again.
+// published dataset. A fresh state's domain is the domain of all records,
+// so the only shard of a one-shard plan runs over it instead of building the
+// same domain again.
 func (st *RepubState) runAll() *Anonymized {
 	var whole *dataset.DenseDomain
 	all := make([]int, len(st.shards))
@@ -336,7 +351,7 @@ func (st *RepubState) runAll() *Anonymized {
 		all[i] = i
 	}
 	if len(st.shards) == 1 {
-		whole = dataset.NewDenseDomainFromTerms(st.terms)
+		whole = st.dom
 	}
 	st.runShards(all, whole)
 	return st.published()
@@ -570,6 +585,7 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 		opts:     st.opts,
 		terms:    st.terms,
 		id:       st.id,
+		dom:      st.dom,
 		excluded: st.excluded,
 		shards:   slices.Clone(st.shards),
 		nextSeq:  st.nextSeq + uint64(len(delta.Append)),
@@ -610,7 +626,7 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 			}
 			d.dn += int(sign)
 			for _, t := range r {
-				d.dcounts[ns.id[t]] += sign
+				d.dcounts[ns.index(t)] += sign
 			}
 			if nd.term < 0 {
 				return nd.shard

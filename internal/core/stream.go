@@ -17,8 +17,8 @@ import (
 
 // BinaryClusterWriter appends clusters in the compact binary format.
 type BinaryClusterWriter struct {
-	bw      *bufio.Writer
-	scratch [binary.MaxVarintLen64]byte
+	bw  *bufio.Writer
+	buf []byte // one node's encoding, reused
 }
 
 // NewBinaryClusterWriter returns a cluster writer over w. It writes nothing
@@ -29,15 +29,11 @@ func NewBinaryClusterWriter(w io.Writer) *BinaryClusterWriter {
 	return &BinaryClusterWriter{bw: bufio.NewWriter(w)}
 }
 
-func (cw *BinaryClusterWriter) put(v uint64) error {
-	n := binary.PutUvarint(cw.scratch[:], v)
-	_, err := cw.bw.Write(cw.scratch[:n])
-	return err
-}
-
 // Append writes one top-level cluster node.
 func (cw *BinaryClusterWriter) Append(n *ClusterNode) error {
-	return writeNode(cw.put, n)
+	cw.buf = appendNode(cw.buf[:0], n)
+	_, err := cw.bw.Write(cw.buf)
+	return err
 }
 
 // Flush drains the writer's buffer.
@@ -46,18 +42,12 @@ func (cw *BinaryClusterWriter) Flush() error { return cw.bw.Flush() }
 // WriteBinaryHeader writes the binary format's header: magic, parameters and
 // the total cluster count that must follow.
 func WriteBinaryHeader(w io.Writer, k, m, clusters int) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
+	head := []byte(binaryMagic)
 	for _, v := range [...]uint64{uint64(k), uint64(m), uint64(clusters)} {
-		n := binary.PutUvarint(scratch[:], v)
-		if _, err := bw.Write(scratch[:n]); err != nil {
-			return err
-		}
+		head = binary.AppendUvarint(head, v)
 	}
-	return bw.Flush()
+	_, err := w.Write(head)
+	return err
 }
 
 // WriteJSONHeader writes the JSON envelope up to the cluster list: the

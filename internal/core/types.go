@@ -203,24 +203,23 @@ func (a *Anonymized) LowerBoundItemsetSupport(s dataset.Record) int {
 // Domain returns the sorted set of all terms appearing anywhere in the
 // anonymized dataset (record chunks, shared chunks and term chunks). By
 // construction this equals the original dataset's domain: disassociation
-// never deletes a term.
+// never deletes a term. Subrecords need no walk: a subrecord's terms lie
+// inside its chunk's domain.
 func (a *Anonymized) Domain() []dataset.Term {
-	//lint:ignore densedomain export-path dedup over global terms, off the hot path
-	seen := make(map[dataset.Term]struct{})
-	for _, c := range a.AllChunks() {
-		for _, t := range c.Domain {
-			seen[t] = struct{}{}
-		}
+	var lists []dataset.Record
+	for _, n := range a.Clusters {
+		n.Walk(func(cn *ClusterNode) {
+			if !cn.IsLeaf() {
+				for _, c := range cn.SharedChunks {
+					lists = append(lists, c.Domain)
+				}
+				return
+			}
+			for _, c := range cn.Simple.RecordChunks {
+				lists = append(lists, c.Domain)
+			}
+			lists = append(lists, cn.Simple.TermChunk)
+		})
 	}
-	for _, leaf := range a.AllLeaves() {
-		for _, t := range leaf.TermChunk {
-			seen[t] = struct{}{}
-		}
-	}
-	out := make([]dataset.Term, 0, len(seen))
-	//lint:deterministic NewRecord sorts and dedups the collected terms
-	for t := range seen {
-		out = append(out, t)
-	}
-	return dataset.NewRecord(out...)
+	return dataset.DistinctTerms(lists)
 }

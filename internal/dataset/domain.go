@@ -15,9 +15,11 @@ import (
 // by the id instead of a map keyed by the term.
 //
 // A lookup does not search the whole domain. Terms are bucketed by their
-// offset from the smallest one, with at most as many buckets as terms, and a
-// lookup searches only its bucket. Term ids are dense in practice, so a
-// bucket holds an id or two; sparse ids degrade to a whole-domain search.
+// offset from the smallest one, with at most presenceSpanRatio buckets per
+// term, and a lookup searches only its bucket. Term ids are dense in
+// practice: a domain whose ids span at most presenceSpanRatio times its size
+// gets one bucket per id, so a lookup takes one step; sparse ids degrade to a
+// whole-domain search.
 type DenseDomain struct {
 	terms []Term  // dense id -> global term, ascending
 	lo    int64   // the smallest term
@@ -98,7 +100,9 @@ func NewDenseDomainFromTerms(terms []Term) *DenseDomain {
 	return newDenseDomain(terms)
 }
 
-// newDenseDomain builds the bucket table over sorted, duplicate-free terms.
+// newDenseDomain builds the bucket table over sorted, duplicate-free terms:
+// the narrowest buckets that keep their number within presenceSpanRatio
+// times the term count, the bound DistinctTerms puts on its presence table.
 func newDenseDomain(terms []Term) *DenseDomain {
 	dd := &DenseDomain{terms: terms}
 	if len(terms) == 0 {
@@ -106,7 +110,7 @@ func newDenseDomain(terms []Term) *DenseDomain {
 	}
 	dd.lo = int64(terms[0])
 	span := int64(terms[len(terms)-1]) - dd.lo
-	for span>>dd.shift >= int64(len(terms)) {
+	for span>>dd.shift >= presenceSpanRatio*int64(len(terms)) {
 		dd.shift++
 	}
 	dd.first = make([]int32, span>>dd.shift+2)
@@ -136,6 +140,13 @@ func (dd *DenseDomain) ID(t Term) (int32, bool) {
 	}
 	b := off >> dd.shift
 	lo, hi := dd.first[b], dd.first[b+1]
+	if dd.shift == 0 {
+		// A one-id bucket holds t exactly when it is not empty.
+		if lo < hi {
+			return lo, true
+		}
+		return 0, false
+	}
 	for lo < hi {
 		h := int32(uint32(lo+hi) >> 1)
 		if dd.terms[h] < t {

@@ -78,7 +78,29 @@ func TestDenseDomainIDMatchesBinarySearch(t *testing.T) {
 	for _, d := range domains {
 		checkIDs(t, d)
 	}
+	// Ids spanning exactly presenceSpanRatio times the domain size get one
+	// bucket per id; one id more doubles the bucket width.
+	for _, c := range []struct {
+		terms []Term
+		span  int
+		shift uint
+	}{{spanTight, presenceSpanRatio * 8, 0}, {spanWide, presenceSpanRatio*8 + 1, 1}} {
+		if span := int(c.terms[len(c.terms)-1]-c.terms[0]) + 1; len(c.terms) != 8 || span != c.span {
+			t.Fatalf("domain %v: %d terms spanning %d ids, want 8 spanning %d", c.terms, len(c.terms), span, c.span)
+		}
+		if dd := NewDenseDomainFromTerms(c.terms); dd.shift != c.shift {
+			t.Fatalf("domain %v: bucket shift %d, want %d", c.terms, dd.shift, c.shift)
+		}
+		checkIDs(t, c.terms)
+	}
 }
+
+// Eight terms spanning 32 ids, presenceSpanRatio times eight, and the same
+// terms with the last one moved out by one id.
+var (
+	spanTight = []Term{-10, -6, 0, 3, 7, 12, 17, 21}
+	spanWide  = []Term{-10, -6, 0, 3, 7, 12, 17, 22}
+)
 
 // checkIDs probes every term of the normalized domain d, its neighbours and
 // the int32 ends, and requires DenseDomain.ID to answer what a binary search

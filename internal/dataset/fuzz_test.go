@@ -135,6 +135,13 @@ func FuzzDenseDomainID(f *testing.F) {
 	f.Add(le(math.MinInt32, math.MinInt32+5, math.MinInt32+1))    // the low end, a table
 	f.Add(le(math.MaxInt32, math.MaxInt32-6, math.MaxInt32-2))    // the high end, a table
 	f.Add(le(math.MaxInt32, -1, math.MinInt32, 0, math.MaxInt32)) // both ends, sorted
+	for _, terms := range [][]Term{spanTight, spanWide} {         // one-id buckets, two-id buckets
+		var ids []int32
+		for _, t := range terms {
+			ids = append(ids, int32(t))
+		}
+		f.Add(le(ids...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		terms := make([]Term, len(data)/4)
 		for i := range terms {

@@ -11,19 +11,17 @@ import (
 // Delta-varint record framing: each record is a uvarint length followed by
 // its terms, the first absolute (as its uint32 bit pattern, so negative input
 // terms survive) and every subsequent term as the gap to its predecessor —
-// always ≥ 1 for a normalized record. EncodeRecord and DecodeRecordTerms are
+// always ≥ 1 for a normalized record. AppendRecord and DecodeRecordTerms are
 // the one codec of that layout: the streaming engine's spill files frame it
 // standalone (BinaryRecordWriter/BinaryRecordReader), so records can be
 // written and re-read one by one with bounded memory, a RecordSlab holds it
 // in memory, and the published binary format (internal/core) embeds it for
 // every chunk record.
 
-// EncodeRecord emits one normalized record through put: its length, then its
-// delta-encoded terms.
-func EncodeRecord(put func(uint64) error, r Record) error {
-	if err := put(uint64(len(r))); err != nil {
-		return err
-	}
+// AppendRecord appends the encoding of one normalized record to dst — its
+// length, then its delta-encoded terms — and returns the extended slice.
+func AppendRecord(dst []byte, r Record) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(r)))
 	prev := Term(0)
 	for i, t := range r {
 		v := uint64(uint32(t))
@@ -32,12 +30,10 @@ func EncodeRecord(put func(uint64) error, r Record) error {
 			// exceed the int32 range (negative first terms).
 			v = uint64(int64(t) - int64(prev))
 		}
-		if err := put(v); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, v)
 		prev = t
 	}
-	return nil
+	return dst
 }
 
 // DecodeRecordTerms reads the n delta-encoded terms of one record through
@@ -82,13 +78,7 @@ func DecodeRecordTerms(get func() (uint64, error), n uint64, dst Record) (Record
 type RecordSlab []byte
 
 // Append encodes r behind the slab's records, at offset len(s).
-func (s RecordSlab) Append(r Record) RecordSlab {
-	_ = EncodeRecord(func(v uint64) error { // cannot fail
-		s = binary.AppendUvarint(s, v)
-		return nil
-	}, r)
-	return s
-}
+func (s RecordSlab) Append(r Record) RecordSlab { return AppendRecord(s, r) }
 
 // Has reports whether the record at off holds t, decoding it only up to t:
 // the terms ascend.
@@ -145,8 +135,8 @@ func (s RecordSlab) uvarint(i int) (uint64, int) {
 
 // BinaryRecordWriter streams records into a spill file.
 type BinaryRecordWriter struct {
-	bw      *bufio.Writer
-	scratch [binary.MaxVarintLen64]byte
+	bw  *bufio.Writer
+	buf []byte // one record's encoding, reused
 }
 
 // NewBinaryRecordWriter returns a writer over w.
@@ -154,14 +144,12 @@ func NewBinaryRecordWriter(w io.Writer) *BinaryRecordWriter {
 	return &BinaryRecordWriter{bw: bufio.NewWriter(w)}
 }
 
-func (rw *BinaryRecordWriter) put(v uint64) error {
-	n := binary.PutUvarint(rw.scratch[:], v)
-	_, err := rw.bw.Write(rw.scratch[:n])
+// Write emits one normalized record.
+func (rw *BinaryRecordWriter) Write(r Record) error {
+	rw.buf = AppendRecord(rw.buf[:0], r)
+	_, err := rw.bw.Write(rw.buf)
 	return err
 }
-
-// Write emits one normalized record.
-func (rw *BinaryRecordWriter) Write(r Record) error { return EncodeRecord(rw.put, r) }
 
 // Flush drains the writer's buffer.
 func (rw *BinaryRecordWriter) Flush() error { return rw.bw.Flush() }

@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -100,6 +102,57 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 	}
 	if _, err := rr.Next(scratch); err != io.EOF {
 		t.Fatalf("want io.EOF after last record, got %v", err)
+	}
+}
+
+// encodeRecord is the closure-based encoder AppendRecord replaced, kept as
+// its reference: it emits the record's length and delta-encoded terms
+// through put, one varint at a time.
+func encodeRecord(put func(uint64) error, r Record) error {
+	if err := put(uint64(len(r))); err != nil {
+		return err
+	}
+	prev := Term(0)
+	for i, t := range r {
+		v := uint64(uint32(t))
+		if i > 0 {
+			v = uint64(int64(t) - int64(prev))
+		}
+		if err := put(v); err != nil {
+			return err
+		}
+		prev = t
+	}
+	return nil
+}
+
+// AppendRecord must emit encodeRecord's bytes behind whatever dst holds, on
+// empty records, negative first terms (their uint32 bit pattern) and the
+// int32 extremes, whose gaps need all 32 bits.
+func TestAppendRecordMatchesEncodeRecord(t *testing.T) {
+	records := []Record{
+		{},
+		NewRecord(0),
+		NewRecord(-1),
+		NewRecord(-5, 3),
+		NewRecord(-7, -5, -4, 0, 7),
+		NewRecord(math.MinInt32),
+		NewRecord(math.MaxInt32),
+		NewRecord(math.MinInt32, math.MaxInt32),
+		NewRecord(math.MinInt32, -1, 0, math.MaxInt32),
+		NewRecord(5, 127, 128, 16383, 16384, 1000000),
+		{},
+	}
+	var want, got []byte
+	for _, r := range records {
+		_ = encodeRecord(func(v uint64) error { // cannot fail
+			want = binary.AppendUvarint(want, v)
+			return nil
+		}, r)
+		got = AppendRecord(got, r)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("after record %v: AppendRecord % x, encodeRecord % x", r, got, want)
+		}
 	}
 }
 

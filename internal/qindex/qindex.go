@@ -11,10 +11,10 @@
 // terms in ascending order, held as a dataset.DenseDomain, whose bucketed
 // lookup ranks every term): the cluster ids of every posting list, grouped
 // by rank, and their per-rank prefix-sum offsets. Build reads only the
-// forest's chunk domains and term chunks — once to collect the domain, then
-// twice to size and fill the posting lists — and the index is immutable
-// afterwards, so any number of goroutines may query it concurrently without
-// locking.
+// forest's chunk domains and term chunks — once to collect the domain
+// (core.Anonymized.Domain), then twice to size and fill the posting lists —
+// and the index is immutable afterwards, so any number of goroutines may
+// query it concurrently without locking.
 package qindex
 
 import (
@@ -59,7 +59,7 @@ func FromSlabs(terms []dataset.Term, post, postOff []int32, retain any) *Index {
 
 // Build walks the published forest and returns its inverted index.
 func Build(a *core.Anonymized) *Index {
-	ix := &Index{dom: dataset.NewDenseDomainFromTerms(collectDomain(a))}
+	ix := &Index{dom: dataset.NewDenseDomainFromTerms(a.Domain())}
 	n := ix.dom.Len()
 
 	// Pass 1 sizes every rank's posting list; pass 2 fills the flat slab
@@ -121,16 +121,6 @@ func chunkTerms(node *core.ClusterNode, visit func([]dataset.Term)) {
 			visit(c.Domain)
 		}
 	})
-}
-
-// collectDomain returns the published domain as a sorted term slice — the
-// rank space — from one walk that gathers every chunk's term list.
-func collectDomain(a *core.Anonymized) []dataset.Term {
-	var lists [][]dataset.Term
-	for _, node := range a.Clusters {
-		chunkTerms(node, func(terms []dataset.Term) { lists = append(lists, terms) })
-	}
-	return dataset.DistinctTerms(lists)
 }
 
 // MustRank returns the rank of a term that must be in the domain (panics

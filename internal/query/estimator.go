@@ -1,10 +1,12 @@
 package query
 
 import (
+	"runtime"
 	"sync"
 
 	"disasso/internal/core"
 	"disasso/internal/dataset"
+	"disasso/internal/par"
 	"disasso/internal/qindex"
 )
 
@@ -43,14 +45,26 @@ type Estimator struct {
 }
 
 // NewEstimator builds the inverted index over the published dataset and the
-// estimator on top of it.
+// estimator on top of it. The node-level term index and the singleton table
+// both only read the forest and the index, so they are built side by side
+// when a second processor can run one (on one, two goroutines would only
+// take turns).
 func NewEstimator(a *core.Anonymized) *Estimator {
 	ix := qindex.Build(a)
+	var nodes *nodeIndex
+	var singles []Estimate
+	par.Do(runtime.GOMAXPROCS(0), 2, func(i int) {
+		if i == 0 {
+			nodes = buildNodeIndex(a, ix)
+		} else {
+			singles = computeSingles(a, ix)
+		}
+	})
 	return &Estimator{
 		a:          a,
 		ix:         ix,
-		nodes:      buildNodeIndex(a, ix),
-		singles:    computeSingles(a, ix),
+		nodes:      nodes,
+		singles:    singles,
 		numRecords: a.NumRecords(),
 	}
 }
@@ -127,10 +141,15 @@ func (e *Estimator) Support(s dataset.Record) Estimate {
 
 // sharedEntry is one ancestor shared chunk's view of a term during the
 // singleton precomputation: how many of the chunk's subrecords carry the
-// term and how many records the hosting joint spans.
+// term, how many records the hosting joint spans, and the running capacity
+// and probSum of the rank's stack up to and including this entry — what
+// evalLeaf sums over the ancestor chain, summed once per chunk instead of
+// once per leaf below it.
 type sharedEntry struct {
-	count int
-	span  int
+	count    int
+	span     int
+	capacity int
+	probSum  float64
 }
 
 // singlesPass carries the flat per-rank state of the singleton
@@ -150,6 +169,7 @@ type singlesPass struct {
 	// non-empty stacks (activation order; frames truncate on exit).
 	shared       [][]sharedEntry
 	activeShared []int32
+	chunkRanks   []int32 // the ranks of the shared chunk being pushed
 
 	// Leaf-scoped state, epoch-stamped per leaf.
 	leafCnts    [][]int32 // counts per containing record chunk, chunk order
@@ -223,12 +243,14 @@ func (p *singlesPass) walk(n *core.ClusterNode, ci int32) {
 	activeMark := len(p.activeShared)
 	for i := range n.SharedChunks {
 		c := &n.SharedChunks[i]
+		p.chunkRanks = p.chunkRanks[:0]
 		for _, t := range c.Domain {
 			r := p.ix.MustRank(t)
 			if len(p.shared[r]) == 0 {
 				p.activeShared = append(p.activeShared, r)
 			}
 			p.shared[r] = append(p.shared[r], sharedEntry{span: span})
+			p.chunkRanks = append(p.chunkRanks, r)
 		}
 		for _, sr := range c.Subrecords {
 			for _, t := range sr {
@@ -241,6 +263,19 @@ func (p *singlesPass) walk(n *core.ClusterNode, ci int32) {
 				p.touch(r, ci)
 				p.lower[r]++
 			}
+		}
+		// The chunk's counts are final: extend each rank's running totals
+		// by this entry, the next step of evalLeaf's root-to-leaf sums
+		// (from 0, as evalLeaf starts, for the bottom entry).
+		for _, r := range p.chunkRanks {
+			s := p.shared[r]
+			top := &s[len(s)-1]
+			capacity, probSum := 0, 0.0
+			if len(s) > 1 {
+				capacity, probSum = s[len(s)-2].capacity, s[len(s)-2].probSum
+			}
+			top.capacity = capacity + top.count
+			top.probSum = probSum + float64(top.count)/float64(top.span)
 		}
 	}
 	for _, child := range n.Children {
@@ -334,18 +369,14 @@ func (p *singlesPass) leaf(leaf *core.Cluster, ci int32) {
 	}
 
 	// Terms available only from ancestor shared chunks: evalLeaf's shared
-	// section, with capacity summed and probabilities accumulated in
-	// root-to-leaf descent order.
+	// section, whose capacity and probSum over the whole ancestor chain are
+	// the running totals of the stack's top entry.
 	for _, r := range p.activeShared {
 		if p.leafStamp[r] == p.leafEpoch {
 			continue // covered by the leaf's own chunks above
 		}
-		capacity := 0
-		probSum := 0.0
-		for _, en := range p.shared[r] {
-			capacity += en.count
-			probSum += float64(en.count) / float64(en.span)
-		}
+		top := p.shared[r][len(p.shared[r])-1]
+		capacity, probSum := top.capacity, top.probSum
 		if probSum > 1 {
 			probSum = 1
 		}

@@ -147,9 +147,11 @@ func TestEstimatorScanHook(t *testing.T) {
 // jointHeavyPublication anonymizes 5k Quest records (5k-term domain,
 // average length 10, Quest seed 1) at k=5, m=2, seed 1. REFINE nests them
 // into joints far wider and deeper than the random forests above reach: the
-// largest holds 103 leaves, 12 levels deep. The input is fixed, so a
-// shallower forest means the fixture broke, not that there is nothing to
-// test.
+// largest holds 103 leaves, 12 levels deep, and some term sits in the shared
+// chunks of joints at two or more nesting depths, the only case in which the
+// singleton pass's running shared-chunk totals sum more than one entry. The
+// input is fixed, so a shallower forest means the fixture broke, not that
+// there is nothing to test.
 func jointHeavyPublication(t *testing.T) (*dataset.Dataset, *core.Anonymized) {
 	t.Helper()
 	cfg := quest.DefaultConfig()
@@ -163,15 +165,41 @@ func jointHeavyPublication(t *testing.T) (*dataset.Dataset, *core.Anonymized) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	widest, deepest := 0, 0
+	widest, deepest, nested := 0, 0, 0
 	for _, n := range a.Clusters {
 		widest = max(widest, len(n.Leaves(nil)))
 		deepest = max(deepest, depth(n))
+		nested = max(nested, sharedNesting(n, map[dataset.Term]int{}))
 	}
 	if widest < 100 || deepest < 12 {
 		t.Fatalf("largest joint has %d leaves and depth %d, want at least 100 and 12", widest, deepest)
 	}
+	if nested < 2 {
+		t.Fatalf("a term sits in the shared chunks of at most %d nested joints, want at least 2", nested)
+	}
 	return d, a
+}
+
+// sharedNesting returns the largest number of shared chunks on one
+// root-to-leaf path under n that hold the same term; held counts them for
+// the path above n.
+func sharedNesting(n *core.ClusterNode, held map[dataset.Term]int) int {
+	most := 0
+	for _, c := range n.SharedChunks {
+		for _, t := range c.Domain {
+			held[t]++
+			most = max(most, held[t])
+		}
+	}
+	for _, child := range n.Children {
+		most = max(most, sharedNesting(child, held))
+	}
+	for _, c := range n.SharedChunks {
+		for _, t := range c.Domain {
+			held[t]--
+		}
+	}
+	return most
 }
 
 func depth(n *core.ClusterNode) int {

@@ -12,11 +12,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"disasso/internal/core"
 	"disasso/internal/dataset"
+	"disasso/internal/quest"
 	"disasso/internal/snapfile"
 )
 
@@ -338,6 +340,63 @@ func TestDeleteRemovesArtifact(t *testing.T) {
 	}
 	if len(rep.Loaded) != 0 {
 		t.Fatalf("deleted dataset resurrected: %v", rep.Loaded)
+	}
+}
+
+// TestSnapshotBuildsScheduleFree: a snapshot's summary, estimator and file
+// sections are built concurrently, and that must not change a byte. The same
+// global publish, stream=1 publish, append and remove, served at GOMAXPROCS 1
+// (the builds run one after the other) and at 4 (side by side), must leave
+// byte-equal snapshot files and stats bodies after every step. The builds
+// share the publication, the posting index and the original records
+// read-only; CI runs this test under -race -count=10.
+func TestSnapshotBuildsScheduleFree(t *testing.T) {
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions, cfg.DomainSize, cfg.AvgTransLen, cfg.Seed = 1_200, 200, 6, 3
+	g, err := quest.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := g.Generate().Records
+	text, delta := renderRecords(records[:1_000]), renderRecords(records[1_000:1_020])
+	// A budget this small derives a cut of the minimum, MaxClusterSize, at
+	// any worker count, so the stream publish's bytes do not depend on
+	// GOMAXPROCS the way a larger budget's cut would.
+	steps := []struct{ name, path, body string }{
+		{"global", "/v1/datasets/global?k=5&m=2&seed=1", text},
+		{"streamed", "/v1/datasets/streamed?k=5&m=2&seed=1&stream=1&membudget=1K", text},
+		{"global", "/v1/datasets/global/append", delta},
+		{"streamed", "/v1/datasets/streamed/remove", renderRecords(records[:20])},
+	}
+	run := func(procs int) [][]byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		dir := t.TempDir()
+		s := New(Options{DataDir: dir})
+		serve := func(method, path, body string) []byte {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+			if rec.Code != http.StatusOK && rec.Code != http.StatusCreated {
+				t.Fatalf("GOMAXPROCS %d: %s %s: status %d; body: %s", procs, method, path, rec.Code, rec.Body.Bytes())
+			}
+			return rec.Body.Bytes()
+		}
+		var out [][]byte
+		for _, st := range steps {
+			serve("POST", st.path, st.body)
+			file, err := os.ReadFile(filepath.Join(dir, st.name+".snap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, file, serve("GET", "/v1/datasets/"+st.name+"/stats", ""))
+		}
+		return out
+	}
+	one, four := run(1), run(4)
+	for i := range one {
+		if !bytes.Equal(one[i], four[i]) {
+			what := [2]string{"snapshot file", "stats body"}[i%2]
+			t.Fatalf("step %d (%s): %s differs between GOMAXPROCS 1 and 4", i/2, steps[i/2].path, what)
+		}
 	}
 }
 

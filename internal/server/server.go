@@ -22,6 +22,7 @@ import (
 	"log"
 	"net/http"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -30,6 +31,7 @@ import (
 	"disasso/internal/core"
 	"disasso/internal/dataset"
 	"disasso/internal/metrics"
+	"disasso/internal/par"
 	"disasso/internal/query"
 	"disasso/internal/reconstruct"
 	"disasso/internal/shard"
@@ -558,9 +560,19 @@ func (s *Server) publish(name string, body io.Reader, opts core.Options, stream 
 // inverted index and estimator, each built in full — plus the snapshot's own
 // empty support cache and audit cell. st and original are the
 // delta-republish state and the original records of a publish or delta; the
-// info reports the state's effective shard cut.
+// info reports the state's effective shard cut. The summary and the
+// estimator only read the publication, so they are built side by side when
+// a second processor can run one.
 func newSnapshot(name string, a *core.Anonymized, st *core.RepubState, original *dataset.Dataset, opts core.Options, cacheEntries int) *snapshot {
-	sum := a.Stats()
+	var sum core.Summary
+	var est *query.Estimator
+	par.Do(runtime.GOMAXPROCS(0), 2, func(i int) {
+		if i == 0 {
+			sum = a.Stats()
+		} else {
+			est = query.NewEstimator(a)
+		}
+	})
 	sn := &snapshot{
 		cache: newSupportCache(cacheEntries),
 		audit: newAuditCell(),
@@ -571,7 +583,7 @@ func newSnapshot(name string, a *core.Anonymized, st *core.RepubState, original 
 			Clusters: len(a.Clusters),
 		},
 		anon:     a,
-		est:      query.NewEstimator(a),
+		est:      est,
 		summary:  sum,
 		opts:     opts,
 		state:    st,

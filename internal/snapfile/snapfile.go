@@ -11,7 +11,7 @@
 // qindex/query views as slice casts over a memory mapping of the file:
 // posting reads on a recovered snapshot never materialize the slab into the
 // heap. Variable-length payloads reuse the repository's existing delta-varint
-// codecs (core.WriteBinary for the forest, dataset.BinaryRecordWriter for the
+// codecs (core.WriteBinary for the forest, dataset.AppendRecord for the
 // original records) instead of inventing a second encoding.
 //
 // Layout (all integers little-endian):
@@ -31,8 +31,8 @@
 //	4 postoff   F  u32 × (|T|+1): per-rank prefix sums into the posting slab
 //	5 postings  F  u32 × P: cluster ids, each rank's list strictly ascending
 //	7 singles   F  24 B × |T|: i64 lower, i64 upper, f64 expected
-//	8 original  V  optional: the retained original records,
-//	               dataset.BinaryRecordWriter framing
+//	8 original  V  optional: the retained original records back to back,
+//	               each framed by dataset.AppendRecord
 //
 // Id 6 is retired; a reader rejects it like any other id the format does
 // not define, and rejects every other format version (there is no reader
@@ -53,9 +53,11 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"runtime"
 
 	"disasso/internal/core"
 	"disasso/internal/dataset"
+	"disasso/internal/par"
 	"disasso/internal/qindex"
 	"disasso/internal/query"
 )
@@ -149,9 +151,23 @@ func (c Contents) Write(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("snapfile: encoding meta: %w", err)
 	}
+	// The two variable-length sections are the dear ones to encode, and each
+	// only reads its own input into its own buffer, so they are encoded side
+	// by side when a second processor can run one.
 	var forestBuf bytes.Buffer
-	if err := core.WriteBinary(&forestBuf, c.Forest); err != nil {
-		return fmt.Errorf("snapfile: encoding forest: %w", err)
+	var forestErr error
+	var origSec []byte
+	par.Do(runtime.GOMAXPROCS(0), 2, func(i int) {
+		if i == 0 {
+			forestErr = core.WriteBinary(&forestBuf, c.Forest)
+		} else if c.Original != nil {
+			for _, r := range c.Original.Records {
+				origSec = dataset.AppendRecord(origSec, r)
+			}
+		}
+	})
+	if forestErr != nil {
+		return fmt.Errorf("snapfile: encoding forest: %w", forestErr)
 	}
 
 	sections := []struct {
@@ -166,20 +182,10 @@ func (c Contents) Write(w io.Writer) error {
 		{secSingles, encodeSingles(c.Singles)},
 	}
 	if c.Original != nil {
-		var origBuf bytes.Buffer
-		rw := dataset.NewBinaryRecordWriter(&origBuf)
-		for _, r := range c.Original.Records {
-			if err := rw.Write(r); err != nil {
-				return fmt.Errorf("snapfile: encoding original: %w", err)
-			}
-		}
-		if err := rw.Flush(); err != nil {
-			return fmt.Errorf("snapfile: encoding original: %w", err)
-		}
 		sections = append(sections, struct {
 			id      uint32
 			payload []byte
-		}{secOriginal, origBuf.Bytes()})
+		}{secOriginal, origSec})
 	}
 
 	// Header + section table, with payload offsets laid out 8-aligned.

@@ -432,9 +432,6 @@ func BenchmarkDeltaRepublish(b *testing.B) {
 			}
 			b.ReportMetric(float64(stats.DirtyShards), "dirty-shards")
 			b.ReportMetric(float64(stats.TotalShards), "total-shards")
-			if stats.FullRepublish {
-				b.ReportMetric(1, "fallback")
-			}
 		})
 	}
 	b.Run("full", func(b *testing.B) {

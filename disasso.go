@@ -137,10 +137,10 @@ func AnonymizeWithState(d *Dataset, opts Options) (*Anonymized, *RepublishState,
 // StreamOptions configures AnonymizeStream: the core anonymization
 // parameters plus the memory budget, spill directory and output format of
 // the sharded streaming engine. With Core.MaxShardRecords zero the engine
-// derives the shard cut from the memory budget divided by Core.Parallel, so
-// the published bytes then depend on the worker count; passing the reported
-// StreamStats.ShardRecords back as Core.MaxShardRecords reproduces them at
-// any worker count.
+// derives the shard cut from the memory budget and the input alone, so the
+// published bytes do not depend on Core.Parallel either way; passing the
+// reported StreamStats.ShardRecords back as Core.MaxShardRecords reproduces
+// them in memory.
 type StreamOptions = shard.Options
 
 // StreamStats reports what a streaming run did: records and terms seen,

@@ -157,7 +157,10 @@ func readNode(get func() (uint64, error), depth int) (*ClusterNode, error) {
 		if nChunks > 1<<20 {
 			return nil, fmt.Errorf("implausible chunk count %d", nChunks)
 		}
-		cl := &Cluster{Size: int(size)}
+		// The lists are never nil, as the pipeline builds them, so a decoded
+		// publication marshals like the encoded one even where a list is
+		// empty.
+		cl := &Cluster{Size: int(size), RecordChunks: make([]Chunk, 0, preallocCap(nChunks))}
 		for i := uint64(0); i < nChunks; i++ {
 			c, err := readChunk(get)
 			if err != nil {
@@ -194,6 +197,7 @@ func readNode(get func() (uint64, error), depth int) (*ClusterNode, error) {
 		if nShared > 1<<20 {
 			return nil, fmt.Errorf("implausible shared count %d", nShared)
 		}
+		node.SharedChunks = make([]Chunk, 0, preallocCap(nShared))
 		for i := uint64(0); i < nShared; i++ {
 			c, err := readChunk(get)
 			if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"disasso/internal/dataset"
+	"disasso/internal/quest"
 )
 
 func TestBinaryRoundTripFigure2(t *testing.T) {
@@ -66,6 +67,72 @@ func TestBinaryRoundTripRandom(t *testing.T) {
 	}
 	if buf.Len()*4 > jsonBuf.Len() {
 		t.Errorf("binary %d bytes vs JSON %d — expected at least 4× smaller", buf.Len(), jsonBuf.Len())
+	}
+}
+
+// TestBinaryRoundTripEmptyChunkLists round-trips publications holding leaves
+// without record chunks and, with safe repair, joints whose shared chunks
+// were all stripped: the pipeline leaves those lists empty, not nil, and the
+// decoded publication must equal the encoded one and marshal to the same
+// JSON ("[]", not "null").
+func TestBinaryRoundTripEmptyChunkLists(t *testing.T) {
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions, cfg.DomainSize, cfg.Seed = 3_000, 5_000, 1
+	g, err := quest.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := g.Generate()
+	for _, safe := range []bool{false, true} {
+		a, err := Anonymize(d, Options{K: 5, M: 2, Seed: 1, SafeDisassociation: safe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var leaves, joints int
+		var walk func(n *ClusterNode)
+		walk = func(n *ClusterNode) {
+			if n.Simple != nil {
+				if len(n.Simple.RecordChunks) == 0 {
+					leaves++
+				}
+				return
+			}
+			if len(n.SharedChunks) == 0 {
+				joints++
+			}
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		for _, n := range a.Clusters {
+			walk(n)
+		}
+		if leaves == 0 || (safe && joints == 0) {
+			t.Fatalf("safe=%v: %d leaves without record chunks and %d joints without shared chunks; the fixture needs both kinds",
+				safe, leaves, joints)
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, back) {
+			t.Errorf("safe=%v: binary round trip not identical", safe)
+		}
+		var want, got bytes.Buffer
+		if err := WriteJSON(&want, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteJSON(&got, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("safe=%v: the decoded publication marshals to different JSON (%d leaves without record chunks, %d joints without shared chunks)",
+				safe, leaves, joints)
+		}
 	}
 }
 

@@ -14,21 +14,28 @@ import (
 // Incremental delta republish. A full publish retains, besides the published
 // forest, the HORPART shard-plan decision tree itself, as the shard planner
 // (shardplan.go) builds it over the state's in-memory records: per node, the
-// record count and the per-term supports shardCut's decision read. A delta (a
-// batch of appended and/or removed records) is then routed down the tree by
-// the same most-frequent-term containment rule HORPART uses, the counts along
-// each path are adjusted, and every touched decision is re-verified. When all
-// decisions stand, only the leaf shards that actually received or lost
-// records are re-anonymized — with the same shard index, hence the same
-// shard-keyed PRNG streams — and the untouched shards' published nodes are
-// spliced through unchanged. A changed decision replans only its subtree;
-// when that changes the subtree's shard count, the engine falls back to a
-// full from-scratch republish. Inside a replanted subtree, a new leaf whose
-// insertion seqs and split-path set equal those of the old leaf at the same
-// index keeps the old shard and its published nodes: RunShard's output is a
-// function of exactly those inputs (the seqs fix the records and their
+// record count, the per-term supports shardCut's decision read and the
+// number of leaves below. A delta (a batch of appended and/or removed
+// records) is applied in one walk down the tree that carries each node's own
+// slice of the delta, split at every node by the same most-frequent-term
+// containment rule HORPART uses. A node the slice touches adds it to its
+// counts and re-verifies its decision. When the decision stands, the walk
+// splits the slice and descends; when it flips, or the node is a leaf, the
+// node's subtree is replanted from its records with the slice applied. A
+// subtree the delta does not reach keeps its shards.
+//
+// Shards are numbered in plan preorder, and a shard's index keys its PRNG
+// streams, so a replant that changes its subtree's shard count renumbers
+// every later shard; the walk re-runs those at their new index, while every
+// shard before the change keeps its index. Such a delta reports
+// FullRepublish, because the shards no longer line up with the old ones
+// index for index, although it re-anonymizes only the shards that moved or
+// changed. A new shard whose index, insertion seqs and split-path set equal
+// an old shard's keeps that shard and its published nodes: RunShard's output
+// is a function of exactly those inputs (the seqs fix the records and their
 // order, the path set the barred terms, the index the PRNG streams) and the
-// options, so re-running it would reproduce the same bytes.
+// options, so re-running it would reproduce the same bytes. Only the other
+// shards are re-anonymized.
 //
 // Two proven invariances make the dirty-shard re-run exact:
 //
@@ -43,8 +50,8 @@ import (
 //     dense domain and still produce bytes identical to the global run.
 //
 // The republish_scratch build tag (hook pair republish_hook_default.go /
-// republish_hook_scratch.go) forces Apply through the from-scratch path, which
-// is the oracle the equivalence tests compare against.
+// republish_hook_scratch.go) forces Apply through the from-scratch path,
+// applyScratch, which is the oracle the equivalence tests compare against.
 
 // republishScratch forces Apply to take the full from-scratch path instead of
 // the dirty-shard delta path. The delta path must be byte-identical; tests and
@@ -54,13 +61,6 @@ var republishScratch = republishScratchDefault
 // ErrRecordNotFound reports a Delta.Remove record that is not present in the
 // dataset. The delta is rejected as a whole; the state is unchanged.
 var ErrRecordNotFound = errors.New("core: record to remove not present")
-
-// errShardShift is the internal signal that a delta moved a shard boundary in
-// a way local replanning cannot absorb: a flipped shardCut decision whose
-// rebuilt subtree has a different shard count, which would shift every later
-// shard's preorder index (and so its PRNG stream). Apply catches it and falls
-// back to a full republish.
-var errShardShift = errors.New("core: delta shifts a shard boundary")
 
 // Delta is one republish request: records to remove from and append to the
 // logical dataset. Removals are applied first (each removes one occurrence;
@@ -76,17 +76,21 @@ type RepublishStats struct {
 	Appended, Removed int
 	// DirtyShards of TotalShards were re-anonymized; Dirty lists their
 	// indexes in ascending order. A dirty shard is a changed one: its
-	// records or its split-path set differ from the old shard at its index.
-	// A shard that comes back unchanged is not dirty, even inside a
-	// replanted subtree.
+	// records or its split-path set differ from the old shard at its index,
+	// or it kept them but moved to another index, because a replant before
+	// it changed the shard count. A shard that comes back unchanged at its
+	// index is not dirty, even inside a replanted subtree.
 	DirtyShards, TotalShards int
 	Dirty                    []int
 	// ReplannedShards counts the dirty shards inside a plan subtree that was
-	// rebuilt because the delta flipped a shardCut decision — churn the
-	// engine absorbed locally instead of falling back to a full republish.
+	// rebuilt because the delta flipped a shardCut decision.
 	ReplannedShards int
-	// FullRepublish is set when the engine ran from scratch: either the delta
-	// moved a shard-plan boundary, or the republish_scratch hook forced it.
+	// FullRepublish is set when the new shards do not line up with the old
+	// ones index for index, so state a caller keeps per shard index must be
+	// rebuilt for every shard: the delta changed the shard count, or the
+	// republish_scratch oracle build ran from scratch. When it is clear, the
+	// shard count is unchanged and exactly the Dirty shards differ. A
+	// shard-count change still re-anonymizes only its Dirty shards.
 	FullRepublish bool
 }
 
@@ -128,9 +132,9 @@ type RepubState struct {
 	// nextSeq numbers appended records. The logical dataset is the bag of
 	// shard records in ascending sequence order (original insertion order,
 	// with every append at the end) — the exact list a from-scratch run is
-	// compared against. Shards keep their records seq-ascending, so the
-	// scratch fallback can reconstruct the insertion order even when the new
-	// plan's shards cut across the old ones.
+	// compared against. Shards keep their records seq-ascending, so a
+	// replant and the scratch oracle can merge them back into insertion
+	// order.
 	nextSeq uint64
 }
 
@@ -456,18 +460,14 @@ func (st *RepubState) Apply(delta Delta) (*Anonymized, *RepubState, RepublishSta
 		}
 	}
 	if republishScratch {
-		return st.applyScratch(delta, false)
+		return st.applyScratch(delta)
 	}
-	anon, ns, stats, err := st.applyDelta(delta)
-	if errors.Is(err, errShardShift) {
-		return st.applyScratch(delta, true)
-	}
-	return anon, ns, stats, err
+	return st.applyDelta(delta)
 }
 
 // applyScratch is the reference path: apply the delta to the insertion-ordered
 // logical dataset and rebuild everything from scratch.
-func (st *RepubState) applyScratch(delta Delta, fellBack bool) (*Anonymized, *RepubState, RepublishStats, error) {
+func (st *RepubState) applyScratch(delta Delta) (*Anonymized, *RepubState, RepublishStats, error) {
 	records, seq := mergeShards(st.shards)
 	appends := make([]seqRecord, len(delta.Append))
 	for i, r := range delta.Append {
@@ -572,14 +572,27 @@ func samePathSet(a, b []int32) bool {
 	return slices.Equal(a, b)
 }
 
-// nodeDelta accumulates the routing pass's effect on one plan node.
-type nodeDelta struct {
-	dn      int
-	dcounts map[int32]int32 // per term index; sparse — deltas are small
+// splitOn partitions a slice of the delta stably and in place on term t,
+// like memSource.Split: the elements whose record lacks t compact at the
+// front and those that hold it move behind them, each side in its given
+// order. moved is the scratch the with side passes through.
+func splitOn[E any](s []E, t dataset.Term, record func(E) dataset.Record, moved *[]E) (with, without []E) {
+	w, kept := (*moved)[:0], s[:0]
+	for _, e := range s {
+		if record(e).Contains(t) {
+			w = append(w, e)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	copy(s[len(kept):], w)
+	*moved = w
+	return s[len(kept):], kept
 }
 
-// applyDelta is the incremental path: route the delta down the plan tree,
-// re-verify every touched decision, re-anonymize only the dirty leaves.
+// applyDelta is the incremental path: one walk down the plan tree that
+// carries each node's slice of the delta, re-verifies every decision the
+// delta touches, and re-anonymizes only the shards that changed or moved.
 func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, RepublishStats, error) {
 	ns := &RepubState{
 		opts:     st.opts,
@@ -587,7 +600,7 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 		id:       st.id,
 		dom:      st.dom,
 		excluded: st.excluded,
-		shards:   slices.Clone(st.shards),
+		shards:   make([]*repubShard, 0, len(st.shards)),
 		nextSeq:  st.nextSeq + uint64(len(delta.Append)),
 	}
 	// Extend the universe copy-on-write with terms first seen in this delta.
@@ -609,159 +622,132 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 			ns.excluded = append(ns.excluded, sens)
 		}
 	}
-
-	// Route every delta record down the tree by split-term containment,
-	// accumulating count deltas per touched node and the per-shard append and
-	// remove lists (both in delta order).
-	touched := make(map[*planNode]*nodeDelta)
-	shardAppend := make(map[int][]seqRecord)
-	shardRemove := make(map[int][]dataset.Record)
-	route := func(r dataset.Record, sign int32) int {
-		nd := st.root
-		for {
-			d := touched[nd]
-			if d == nil {
-				d = &nodeDelta{dcounts: make(map[int32]int32)}
-				touched[nd] = d
-			}
-			d.dn += int(sign)
-			for _, t := range r {
-				d.dcounts[ns.index(t)] += sign
-			}
-			if nd.term < 0 {
-				return nd.shard
-			}
-			if r.Contains(ns.terms[nd.term]) {
-				nd = nd.with
-			} else {
-				nd = nd.without
-			}
-		}
-	}
-	for _, r := range delta.Remove {
-		si := route(r, -1)
-		shardRemove[si] = append(shardRemove[si], r)
-	}
+	appends := make([]seqRecord, len(delta.Append))
 	for i, r := range delta.Append {
-		si := route(r, +1)
-		shardAppend[si] = append(shardAppend[si], seqRecord{r: r, seq: st.nextSeq + uint64(i)})
+		appends[i] = seqRecord{r: r, seq: st.nextSeq + uint64(i)}
 	}
 
-	// Rebuild the touched spine copy-on-write, re-verifying each decision
-	// against the updated counts. Dirty leaves get fresh shard states. A
-	// flipped decision invalidates only its subtree: replant rebuilds that
-	// subtree's plan from its updated records, and as long as the new plan
-	// has the same shard count, every shard outside the subtree keeps its
-	// preorder index and the splice stays valid. Only a count change — which
-	// would renumber every later shard and so re-key its PRNG stream —
-	// aborts to the from-scratch fallback. The descent keeps the planner's
-	// ignore set and split path current, so a replant starts from exactly
-	// the context a from-scratch run would reach its subtree with.
+	// The walk appends the new plan's shards to ns.shards in preorder, so
+	// len(ns.shards) is the new index of the next leaf; next is its old
+	// index. They differ once a replant has changed the shard count. The
+	// descent keeps the planner's ignore set and split path current, so a
+	// replant starts from exactly the context a from-scratch run would reach
+	// its subtree with.
 	var dirty []int
-	replanned := 0
+	next, replanned := 0, 0
 	var leaves []PlanLeaf[memSource]
 	p := ns.planner(slices.Clone(ns.excluded), nil, &leaves)
 
-	// replant rebuilds the plan subtree rooted at old: its leaves' records
-	// are merged back into insertion (seq) order, the subtree's slice of the
-	// delta is applied, and the planner reruns over the result from the
-	// node's updated counts. Preorder numbering makes the old leaves a
-	// contiguous index range; the new leaves must fill the same range, and
-	// only those that differ from the old leaf at their index are dirty. A
-	// touched leaf is replanted too: the planner recounts it only if the
-	// delta grew it past the cut, and a leaf that must now split changes
-	// the shard count.
-	replant := func(old *planNode, counts []int32) (*planNode, error) {
-		first, last := old, old
-		for first.term >= 0 {
-			first = first.with
+	// keep carries over the subtree at old, which the delta does not reach:
+	// its shards stay as they are at an unchanged index, and re-run over
+	// the same records at a moved one.
+	keep := func(old *planNode) *planNode {
+		moved := len(ns.shards) != next
+		for _, sh := range st.shards[next : next+old.leaves] {
+			if moved {
+				dirty = append(dirty, len(ns.shards))
+				sh = &repubShard{records: sh.records, seq: sh.seq, path: sh.path}
+			}
+			ns.shards = append(ns.shards, sh)
 		}
-		for last.term >= 0 {
-			last = last.without
-		}
-		lo, hi := first.shard, last.shard+1
-		var removes []dataset.Record
-		var appends []seqRecord
-		for si := lo; si < hi; si++ {
-			removes = append(removes, shardRemove[si]...)
-			appends = append(appends, shardAppend[si]...)
-		}
-		slices.SortFunc(appends, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
+		next += old.leaves
+		return old
+	}
+
+	// replant rebuilds the subtree at old: its shards' records are merged
+	// back into insertion (seq) order, its slice of the delta is applied, and
+	// the planner reruns over the result from the node's updated counts. A
+	// new leaf that lands on the index of one of the subtree's old shards,
+	// with that shard's seqs and split-path set, keeps it. A touched leaf is
+	// replanted too: the planner recounts it only if the delta grew it past
+	// the cut.
+	replant := func(old *planNode, counts []int32, removes []dataset.Record, appends []seqRecord) (*planNode, error) {
+		lo, hi := next, next+old.leaves
+		next = hi
 		records, seq := mergeShards(st.shards[lo:hi])
 		records, seq, err := applyWithSeq(records, seq, removes, appends)
 		if err != nil {
 			return nil, err
 		}
-		leaves, p.next = nil, lo
+		leaves = leaves[:0]
 		nd, err := p.plan(newMemSource(ns, records, seq), counts)
 		if err != nil {
 			return nil, err
 		}
-		if len(leaves) != hi-lo {
-			return nil, errShardShift
-		}
-		for i, l := range leaves {
-			si := lo + i
-			if old := st.shards[si]; l.Source.sameSeqs(old.seq) && samePathSet(old.path, l.Path) {
-				continue // RunShard would reproduce old.published: keep the shard
+		for _, l := range leaves {
+			si := len(ns.shards)
+			if si >= lo && si < hi {
+				if old := st.shards[si]; l.Source.sameSeqs(old.seq) && samePathSet(old.path, l.Path) {
+					ns.shards = append(ns.shards, old) // RunShard would reproduce old.published
+					continue
+				}
 			}
-			ns.shards[si] = newRepubShard(l)
 			dirty = append(dirty, si)
+			ns.shards = append(ns.shards, newRepubShard(l))
 		}
 		return nd, nil
 	}
 
-	var rebuild func(old *planNode) (*planNode, error)
-	rebuild = func(old *planNode) (*planNode, error) {
-		d := touched[old]
-		if d == nil {
-			return old, nil
+	// apply rebuilds the subtree at old under its slice of the delta, both
+	// lists in delta order (so the appends stay seq-ascending). The slices
+	// are partitioned in place, so the caller's removals are copied first.
+	var movedR []dataset.Record
+	var movedA []seqRecord
+	var apply func(old *planNode, removes []dataset.Record, appends []seqRecord) (*planNode, error)
+	apply = func(old *planNode, removes []dataset.Record, appends []seqRecord) (*planNode, error) {
+		if len(removes) == 0 && len(appends) == 0 {
+			return keep(old), nil
 		}
 		var counts []int32
 		if old.counts != nil {
 			counts = make([]int32, len(ns.terms))
 			copy(counts, old.counts)
-			//lint:deterministic order-independent additive scatter into dense counts
-			for idx, dc := range d.dcounts {
-				counts[idx] += dc
+			for _, r := range removes {
+				for _, t := range r {
+					counts[ns.index(t)]--
+				}
+			}
+			for _, a := range appends {
+				for _, t := range a.r {
+					counts[ns.index(t)]++
+				}
 			}
 		}
 		if old.term < 0 {
-			return replant(old, counts)
+			return replant(old, counts, removes, appends)
 		}
-		n := old.n + d.dn
-		best, sup, split := p.decide(n, counts)
-		if !split || best != old.term {
+		n := old.n - len(removes) + len(appends)
+		if best, _, split := p.decide(n, counts); !split || best != old.term {
 			before := len(dirty)
-			nd, err := replant(old, counts)
+			nd, err := replant(old, counts, removes, appends)
 			replanned += len(dirty) - before
 			return nd, err
 		}
-		nd := &planNode{n: n, counts: counts, term: best, sup: sup, shard: -1}
-		p.ignore[best] = true
-		p.path = append(p.path, best)
-		w, err := rebuild(old.with)
+		term := ns.terms[old.term]
+		withR, withoutR := splitOn(removes, term, func(r dataset.Record) dataset.Record { return r }, &movedR)
+		withA, withoutA := splitOn(appends, term, func(a seqRecord) dataset.Record { return a.r }, &movedA)
+		p.ignore[old.term] = true
+		p.path = append(p.path, old.term)
+		w, err := apply(old.with, withR, withA)
 		p.path = p.path[:len(p.path)-1]
-		p.ignore[best] = false
+		p.ignore[old.term] = false
 		if err != nil {
 			return nil, err
 		}
-		wo, err := rebuild(old.without)
+		wo, err := apply(old.without, withoutR, withoutA)
 		if err != nil {
 			return nil, err
 		}
-		nd.with, nd.without = w, wo
-		return nd, nil
+		return &planNode{n: n, counts: counts, term: old.term, with: w, without: wo, leaves: w.leaves + wo.leaves}, nil
 	}
-	root, err := rebuild(st.root)
+	root, err := apply(st.root, slices.Clone(delta.Remove), appends)
 	if err != nil {
 		return nil, nil, RepublishStats{}, err
 	}
 	ns.root = root
 
-	// Re-anonymize the dirty shards (same index, same PRNG streams) and
-	// splice every clean shard's published nodes straight through.
-	slices.Sort(dirty)
+	// Re-anonymize the dirty shards, each keyed by its index, and splice
+	// every kept shard's published nodes straight through.
 	ns.runShards(dirty, nil)
 	return ns.published(), ns, RepublishStats{
 		Appended:        len(delta.Append),
@@ -770,5 +756,6 @@ func (st *RepubState) applyDelta(delta Delta) (*Anonymized, *RepubState, Republi
 		TotalShards:     len(ns.shards),
 		Dirty:           dirty,
 		ReplannedShards: replanned,
+		FullRepublish:   len(ns.shards) != len(st.shards),
 	}, nil
 }

@@ -94,10 +94,16 @@ func deltaFor(rng *rand.Rand, logical []dataset.Record, step int) Delta {
 
 // TestDeltaRepublishEquivalence is the oracle test: after every Apply the
 // published bytes (and their SHA-256) must equal a from-scratch Anonymize
-// over the same logical dataset, across configs and worker counts. It also
-// checks that the incremental path (not just the fallback) is exercised.
+// over the same logical dataset, across configs and worker counts, over 30
+// random deltas each. It also checks that some delta re-anonymizes fewer
+// than all shards, that Apply leaves the caller's delta lists as they were,
+// and that every delta that changes the shard count (checkShift) keeps the
+// shards before its first dirty one; some such delta must keep a shard, or
+// the walk's re-run of moved shards is never told apart from a full
+// republish.
 func TestDeltaRepublishEquivalence(t *testing.T) {
 	sawIncremental := false
+	shifts, kept, rerun := 0, 0, 0
 	for ci, opts := range republishConfigs() {
 		for _, workers := range []int{1, 4} {
 			opts.Parallel = workers
@@ -108,25 +114,28 @@ func TestDeltaRepublishEquivalence(t *testing.T) {
 				t.Fatalf("config %d: %v", ci, err)
 			}
 			rng := rand.New(rand.NewPCG(uint64(ci), uint64(workers)))
-			for step := 0; step < 6; step++ {
+			for step := 0; step < 30; step++ {
 				delta := deltaFor(rng, logical, step)
 				logical, err = applyToRecords(logical, delta)
 				if err != nil {
 					t.Fatalf("config %d step %d: %v", ci, step, err)
 				}
+				removes, appends := slices.Clone(delta.Remove), slices.Clone(delta.Append)
 				anon, next, stats, err := st.Apply(delta)
 				if err != nil {
 					t.Fatalf("config %d step %d: Apply: %v", ci, step, err)
 				}
-				st = next
+				if !slices.EqualFunc(delta.Remove, removes, dataset.Record.Equal) || !slices.EqualFunc(delta.Append, appends, dataset.Record.Equal) {
+					t.Fatalf("config %d step %d: Apply changed the caller's delta", ci, step)
+				}
 				want, err := Anonymize(dataset.FromRecords(logical), opts)
 				if err != nil {
 					t.Fatalf("config %d step %d: scratch: %v", ci, step, err)
 				}
 				gotBytes, wantBytes := encodeAnonymized(t, anon), encodeAnonymized(t, want)
 				if !bytes.Equal(gotBytes, wantBytes) {
-					t.Fatalf("config %d workers %d step %d: delta republish differs from scratch (dirty %d/%d, fallback %v)",
-						ci, workers, step, stats.DirtyShards, stats.TotalShards, stats.FullRepublish)
+					t.Fatalf("config %d workers %d step %d: delta republish differs from scratch (dirty %d/%d)",
+						ci, workers, step, stats.DirtyShards, stats.TotalShards)
 				}
 				if sha256.Sum256(gotBytes) != sha256.Sum256(wantBytes) {
 					t.Fatalf("config %d step %d: stream hash mismatch", ci, step)
@@ -134,6 +143,14 @@ func TestDeltaRepublishEquivalence(t *testing.T) {
 				if !stats.FullRepublish && stats.DirtyShards < stats.TotalShards {
 					sawIncremental = true
 				}
+				if stats.TotalShards != st.NumShards() && !republishScratchDefault {
+					shifts++
+					rerun += stats.DirtyShards
+					if checkShift(t, fmt.Sprintf("config %d workers %d step %d", ci, workers, step), st, next, stats) > 0 {
+						kept++
+					}
+				}
+				st = next
 				if got := st.NumRecords(); got != len(logical) {
 					t.Fatalf("config %d step %d: state has %d records, want %d", ci, step, got, len(logical))
 				}
@@ -141,13 +158,19 @@ func TestDeltaRepublishEquivalence(t *testing.T) {
 		}
 	}
 	if !sawIncremental && !republishScratchDefault {
-		t.Error("no delta ever took the incremental path: every Apply fell back to full republish")
+		t.Error("every delta re-anonymized every shard")
+	}
+	t.Logf("%d deltas changed the shard count, re-running %d shards; %d kept a shard", shifts, rerun, kept)
+	if kept == 0 && !republishScratchDefault {
+		t.Errorf("none of %d shard-count changes kept a shard", shifts)
 	}
 }
 
 // TestDeltaFallbackOnBoundaryShift forces a shard-boundary move: a flood of
-// records dominated by a brand-new term changes the root split decision, so
-// Apply must fall back to a full republish — and still match scratch.
+// records dominated by a brand-new term changes the root split decision and
+// with it the shard count. Apply must match scratch and pass checkShift: it
+// re-runs the moved shards at their new indexes, keeps the shards before
+// them and reports FullRepublish, because the indexes no longer line up.
 func TestDeltaFallbackOnBoundaryShift(t *testing.T) {
 	opts := Options{K: 3, M: 2, MaxClusterSize: 10, MaxShardRecords: 40, Seed: 7, Parallel: 1}
 	d := genDataset(1, 2, 180)
@@ -162,12 +185,15 @@ func TestDeltaFallbackOnBoundaryShift(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		delta.Append = append(delta.Append, dataset.NewRecord(999, dataset.Term(i%25)))
 	}
-	anon, _, stats, err := st.Apply(delta)
+	anon, next, stats, err := st.Apply(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.FullRepublish {
-		t.Errorf("expected fallback to full republish, got dirty %d/%d", stats.DirtyShards, stats.TotalShards)
+	if stats.TotalShards == st.NumShards() {
+		t.Fatalf("fixture no longer changes the shard count (%d shards)", stats.TotalShards)
+	}
+	if !republishScratchDefault {
+		checkShift(t, "flood", st, next, stats)
 	}
 	logical, err := applyToRecords(d.Records, delta)
 	if err != nil {
@@ -178,8 +204,29 @@ func TestDeltaFallbackOnBoundaryShift(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encodeAnonymized(t, anon), encodeAnonymized(t, want)) {
-		t.Error("fallback republish differs from scratch")
+		t.Error("shifting republish differs from scratch")
 	}
+}
+
+// checkShift checks a delta that changed the shard count: it reports
+// FullRepublish, since its shards no longer line up with the old ones by
+// index, and every shard before the first dirty one is the old state's, by
+// pointer. It returns that first dirty index.
+func checkShift(t *testing.T, name string, old, next *RepubState, stats RepublishStats) int {
+	t.Helper()
+	if !stats.FullRepublish {
+		t.Errorf("%s: a shard-count change reports FullRepublish false", name)
+	}
+	first := len(next.shards)
+	if len(stats.Dirty) > 0 {
+		first = stats.Dirty[0]
+	}
+	for si := range first {
+		if next.shards[si] != old.shards[si] {
+			t.Errorf("%s: shard %d lies before the first dirty shard %d but is not the old state's", name, si, first)
+		}
+	}
+	return first
 }
 
 // TestDeltaRemoveMissing checks a removal of an absent record fails the whole
@@ -269,7 +316,7 @@ func TestRepublishScratchHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := Delta{Append: []dataset.Record{dataset.NewRecord(1, 2, 3)}, Remove: []dataset.Record{d.Records[0]}}
-	inc, _, incStats, err := st.Apply(delta)
+	inc, _, _, err := st.Apply(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,15 +331,15 @@ func TestRepublishScratchHook(t *testing.T) {
 		t.Error("hooked Apply did not report a full republish")
 	}
 	if !bytes.Equal(encodeAnonymized(t, inc), encodeAnonymized(t, scr)) {
-		t.Errorf("incremental path (fallback=%v) differs from forced scratch path", incStats.FullRepublish)
+		t.Error("incremental path differs from forced scratch path")
 	}
 }
 
 // TestDeltaReplantEquivalence pins the subtree-replant path: single-record
 // deltas on a many-shard plan routinely flip a deep ShardCut decision (the
 // argmax margins near the leaves are tiny), and the engine must absorb the
-// flip by rebuilding just that subtree — byte-identical to scratch, without
-// a full republish — whenever the subtree's shard count is preserved.
+// flip by rebuilding just that subtree, byte-identical to scratch, without
+// re-anonymizing every shard.
 func TestDeltaReplantEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 7))
 	records := make([]dataset.Record, 0, 600)
@@ -335,8 +382,8 @@ func TestDeltaReplantEquivalence(t *testing.T) {
 			t.Fatalf("step %d: scratch: %v", step, err)
 		}
 		if !bytes.Equal(encodeAnonymized(t, anon), encodeAnonymized(t, want)) {
-			t.Fatalf("step %d: delta republish differs from scratch (dirty %d/%d, replanned %d, fallback %v)",
-				step, stats.DirtyShards, stats.TotalShards, stats.ReplannedShards, stats.FullRepublish)
+			t.Fatalf("step %d: delta republish differs from scratch (dirty %d/%d, replanned %d)",
+				step, stats.DirtyShards, stats.TotalShards, stats.ReplannedShards)
 		}
 		if !stats.FullRepublish && stats.ReplannedShards > 0 {
 			sawReplant = true
@@ -347,7 +394,7 @@ func TestDeltaReplantEquivalence(t *testing.T) {
 		}
 	}
 	if !sawReplant && !republishScratchDefault {
-		t.Error("no delta ever exercised the subtree replant: every flip either fell back or never happened")
+		t.Error("no delta ever exercised the subtree replant")
 	}
 }
 
@@ -389,8 +436,8 @@ func TestDeltaAppendedTermTieBreak(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(encodeAnonymized(t, anon), encodeAnonymized(t, want)) {
-			t.Fatalf("step %d: delta republish differs from scratch (dirty %d/%d, replanned %d, fallback %v)",
-				step+1, stats.DirtyShards, stats.TotalShards, stats.ReplannedShards, stats.FullRepublish)
+			t.Fatalf("step %d: delta republish differs from scratch (dirty %d/%d, replanned %d)",
+				step+1, stats.DirtyShards, stats.TotalShards, stats.ReplannedShards)
 		}
 	}
 }
@@ -440,7 +487,7 @@ func TestDeltaReplantKeepsUnchangedShards(t *testing.T) {
 				t.Errorf("clean shard %d does not share the old state's shard", si)
 			}
 		}
-		scratch, _, _, err := st.applyScratch(delta, false)
+		scratch, _, _, err := st.applyScratch(delta)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,9 +87,10 @@ type PlanLeaf[S any] struct {
 }
 
 // planNode is one node of a shard-plan decision tree: the record count and
-// the supports shardCut's decision was made from, and the decision itself.
-// Nodes are immutable once built — a delta republish copies every node it
-// touches, so old snapshots stay valid.
+// the supports shardCut's decision was made from, the decision itself and
+// the number of leaves below. Nodes are immutable once built — a delta
+// republish copies every node it touches, so old snapshots stay valid — and
+// hold no position, so a delta keeps an untouched subtree whose shards moved.
 type planNode struct {
 	n int
 	// counts is indexed by term index and may lag a grown universe (missing
@@ -97,10 +98,9 @@ type planNode struct {
 	// planner does not retain supports.
 	counts  []int32
 	term    int32 // split term index; -1 for a leaf
-	sup     int32
 	with    *planNode
 	without *planNode
-	shard   int // leaf: its position in the plan's preorder; -1 for interior nodes
+	leaves  int // the subtree's leaf (shard) count; 1 for a leaf
 }
 
 // planner carries one run of the shard-plan recursion.
@@ -117,10 +117,8 @@ type planner[S PlanSource[S]] struct {
 	retain  bool
 	holdCap int64
 	held    int64
-	// emit receives each leaf as it is decided, in preorder; next is the
-	// shard number the next leaf gets.
+	// emit receives each leaf as it is decided, in preorder.
 	emit func(PlanLeaf[S]) error
-	next int
 }
 
 // Plan cuts the records behind root into the shard plan of opts and hands
@@ -148,10 +146,10 @@ func (p *planner[S]) decide(n int, counts []int32) (term, sup int32, split bool)
 }
 
 // plan decides the node behind src and recurses into its sides, with side
-// first, numbering leaves in that preorder. counts holds the node's supports
+// first, emitting leaves in that preorder. counts holds the node's supports
 // and is ceded to the call; nil means they were not kept.
 func (p *planner[S]) plan(src S, counts []int32) (*planNode, error) {
-	nd := &planNode{n: src.Len(), term: -1, shard: -1}
+	nd := &planNode{n: src.Len(), term: -1, leaves: 1}
 	// shardCut reads the supports only past the cut, so an unsharded plan
 	// never counts.
 	if p.maxShard > 0 && nd.n > p.maxShard {
@@ -167,11 +165,9 @@ func (p *planner[S]) plan(src S, counts []int32) (*planNode, error) {
 	}
 	a, sup, split := p.decide(nd.n, counts)
 	if !split {
-		nd.shard = p.next
-		p.next++
 		return nd, p.emit(PlanLeaf[S]{Source: src, Path: slices.Clone(p.path)})
 	}
-	nd.term, nd.sup = a, sup
+	nd.term = a
 	with, without, withCounts, err := src.Split(a, sup)
 	if err != nil {
 		return nil, err
@@ -212,5 +208,6 @@ func (p *planner[S]) plan(src S, counts []int32) (*planNode, error) {
 	if nd.without, err = p.plan(without, woCounts); err != nil {
 		return nil, err
 	}
+	nd.leaves = nd.with.leaves + nd.without.leaves
 	return nd, nil
 }

@@ -340,8 +340,8 @@ func samePlanTree(a, b *planNode) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return a.n == b.n && slices.Equal(a.counts, b.counts) && a.term == b.term && a.sup == b.sup &&
-		a.shard == b.shard && samePlanTree(a.with, b.with) && samePlanTree(a.without, b.without)
+	return a.n == b.n && slices.Equal(a.counts, b.counts) && a.term == b.term &&
+		a.leaves == b.leaves && samePlanTree(a.with, b.with) && samePlanTree(a.without, b.without)
 }
 
 // TestMemSourceMatchesSearch: the in-memory planner's postings-partitioned

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
@@ -187,7 +188,7 @@ func TestServerDeltaRepublish(t *testing.T) {
 	}
 	// Under the republish_scratch build tag every delta honestly reports
 	// FullRepublish, so the incremental-path assertion is vacuous by design;
-	// any other all-fallback run is a regression.
+	// otherwise some delta must re-anonymize fewer than all shards.
 	if !sawIncremental && !allFullRepublish {
 		t.Error("no delta ever took the incremental path (dirty < total); the test exercises nothing")
 	}
@@ -284,36 +285,155 @@ func TestServerDeltaErrors(t *testing.T) {
 	do(t, client, "POST", srv.URL+"/v1/datasets/ds/remove", "\n\n", http.StatusBadRequest, nil)
 }
 
+// liveOptions are the options of the end-to-end benchmark's live
+// publication: k=5, m=2, seed 1 and a 2,000-record shard cut, which plans
+// the live records as a 150-deep chain of 151 shards.
+var liveOptions = core.Options{K: 5, M: 2, Seed: 1, MaxShardRecords: 2_000}
+
+// liveRecords returns the end-to-end benchmark's publish-workload inputs:
+// the first 20,000 of 20,260 Quest records (seed 1, 5k-term domain, average
+// length 10), which the live publication holds, and its two held-out delta
+// batches: the first 40 records generated past that prefix that repeat
+// neither a published record nor each other, 20 to a batch.
+func liveRecords(tb testing.TB) (published []dataset.Record, batches [2][]dataset.Record) {
+	tb.Helper()
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions, cfg.DomainSize, cfg.AvgTransLen, cfg.Seed = 20_260, 5_000, 10, 1
+	g, err := quest.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	all := g.Generate().Records
+	published = all[:20_000]
+	seen := make(map[string]bool, len(published))
+	for _, r := range published {
+		seen[r.Key()] = true
+	}
+	var held []dataset.Record
+	for _, r := range all[len(published):] {
+		if k := r.Key(); !seen[k] && len(held) < 40 {
+			seen[k] = true
+			held = append(held, r)
+		}
+	}
+	if len(held) < 40 {
+		tb.Fatalf("only %d distinct held-out records, need 40", len(held))
+	}
+	return published, [2][]dataset.Record{held[:20], held[20:]}
+}
+
+// liveDeltas are the delta sequences TestApplyLiveDirtyShards and
+// BenchmarkApplyLive apply: the publish workload's append and removal of
+// each held-out batch, and an append and removal of a copy of published
+// record 0. The removal drops the earliest occurrence, the original, so
+// after one round the copy at the end stands in for it.
+func liveDeltas(published []dataset.Record, batches [2][]dataset.Record) []struct {
+	name   string
+	deltas []core.Delta
+} {
+	return []struct {
+		name   string
+		deltas []core.Delta
+	}{
+		{"batch=20", []core.Delta{
+			{Append: batches[0]}, {Remove: batches[0]},
+			{Append: batches[1]}, {Remove: batches[1]},
+		}},
+		{"batch=1", []core.Delta{{Append: published[:1]}, {Remove: published[:1]}}},
+	}
+}
+
+// TestApplyLiveDirtyShards pins how many shards each live delta
+// re-anonymizes: 20 for either move of the first held-out batch, 46 for
+// either move of the second, whose flip high in the chain really changes
+// that many, and 1 for either move of a copy of record 0. Each delta's bytes
+// must equal a from-scratch republish. The counts are not checked where
+// Apply reports FullRepublish, as the republish_scratch oracle build does.
+func TestApplyLiveDirtyShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("publishes 20k records")
+	}
+	published, batches := liveRecords(t)
+	opts := liveOptions
+	opts.Parallel = 2
+	_, st, err := core.AnonymizeWithState(dataset.FromRecords(published), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NumShards() != 151 {
+		t.Fatalf("live plan has %d shards, want 151", st.NumShards())
+	}
+	encode := func(a *core.Anonymized) []byte {
+		var buf bytes.Buffer
+		if err := core.WriteBinary(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := map[string][]int{"batch=20": {20, 20, 46, 46}, "batch=1": {1, 1}}
+	for _, c := range liveDeltas(published, batches) {
+		for i, delta := range c.deltas {
+			anon, next, stats, err := st.Apply(delta)
+			if err != nil {
+				t.Fatalf("%s delta %d: %v", c.name, i, err)
+			}
+			if stats.TotalShards != 151 || (!stats.FullRepublish && stats.DirtyShards != want[c.name][i]) {
+				t.Errorf("%s delta %d dirtied %d of %d shards, want %d of 151",
+					c.name, i, stats.DirtyShards, stats.TotalShards, want[c.name][i])
+			}
+			scratch, err := core.Anonymize(dataset.FromRecords(next.Records()), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encode(anon), encode(scratch)) {
+				t.Fatalf("%s delta %d differs from a from-scratch republish", c.name, i)
+			}
+			st = next
+		}
+	}
+}
+
+// BenchmarkApplyLive times core.RepubState.Apply alone on the live
+// publication (see liveRecords and liveOptions), each delta applied to the
+// state the one before it returned, as disassod chains them. ms/delta is
+// the mean time of one Apply, dirty-shards the most shards one delta
+// re-anonymized.
+func BenchmarkApplyLive(b *testing.B) {
+	published, batches := liveRecords(b)
+	_, st, err := core.AnonymizeWithState(dataset.FromRecords(published), liveOptions)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range liveDeltas(published, batches) {
+		b.Run(c.name, func(b *testing.B) {
+			cur, dirty := st, 0
+			for i := 0; i < b.N; i++ {
+				for _, delta := range c.deltas {
+					_, next, stats, err := cur.Apply(delta)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cur, dirty = next, max(dirty, stats.DirtyShards)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*len(c.deltas)), "ms/delta")
+			b.ReportMetric(float64(dirty), "dirty-shards")
+		})
+	}
+}
+
 // BenchmarkServerDelta times deltas against the end-to-end benchmark's
-// `live` publication: the first 20,000 of 20,260 Quest records (seed 1,
-// 5k-term domain, average length 10), published with k=5, m=2, seed=1 and a
-// 2,000-record shard cut on a persistent server, driven through ServeHTTP.
-// Each iteration is one append and one remove of the same batch:
+// live publication (see liveRecords and liveOptions) on a persistent
+// server, driven through ServeHTTP. Each iteration is one append and one
+// remove of the same batch:
 //
-//   - batch=20: the first 20 generated records past the published prefix
-//     that repeat neither a published record nor each other, the
-//     benchmark's first held-out batch;
+//   - batch=20: the first held-out batch;
 //   - batch=1: a copy of published record 0, which dirties a single shard.
 //
 // ms/delta is the mean handler time of one append or remove, dirty-shards
 // the most shards one delta re-anonymized.
 func BenchmarkServerDelta(b *testing.B) {
-	all := benchLiveRecords(b)
-	published := all[:20_000]
-	seen := make(map[string]bool, len(published))
-	for _, r := range published {
-		seen[renderRecords([]dataset.Record{r})] = true
-	}
-	var held []dataset.Record
-	for _, r := range all[len(published):] {
-		if len(held) == 20 {
-			break
-		}
-		if k := renderRecords([]dataset.Record{r}); !seen[k] {
-			seen[k] = true
-			held = append(held, r)
-		}
-	}
+	published, batches := liveRecords(b)
 	s := New(Options{DataDir: b.TempDir()})
 	serve := func(path, body string, status int) []byte {
 		rec := httptest.NewRecorder()
@@ -327,7 +447,7 @@ func BenchmarkServerDelta(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		batch []dataset.Record
-	}{{"batch=20", held}, {"batch=1", published[:1]}} {
+	}{{"batch=20", batches[0]}, {"batch=1", published[:1]}} {
 		body := renderRecords(c.batch)
 		b.Run(c.name, func(b *testing.B) {
 			dirty := 0
@@ -346,22 +466,9 @@ func BenchmarkServerDelta(b *testing.B) {
 	}
 }
 
-// benchLiveRecords generates the 20,260 Quest records (seed 1, 5k-term
-// domain, average length 10) whose first 20,000 the end-to-end benchmark's
-// publish workload publishes.
-func benchLiveRecords(b *testing.B) []dataset.Record {
-	cfg := quest.DefaultConfig()
-	cfg.NumTransactions, cfg.DomainSize, cfg.AvgTransLen, cfg.Seed = 20_260, 5000, 10, 1
-	g, err := quest.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g.Generate().Records
-}
-
-// BenchmarkServerPublish times whole publishes of the first 20,000 records
-// of BenchmarkServerDelta's data on a persistent server, driven through
-// ServeHTTP, as the end-to-end benchmark's publish workload sends them:
+// BenchmarkServerPublish times whole publishes of the live records (see
+// liveRecords) on a persistent server, driven through ServeHTTP, as the
+// end-to-end benchmark's publish workload sends them:
 //
 //   - global: k=5, m=2, seed=1, replace=1, one global shard;
 //   - stream: the same with stream=1&membudget=1M, whose cut the budget
@@ -371,7 +478,8 @@ func benchLiveRecords(b *testing.B) []dataset.Record {
 // heap still allocated after the last publish and a forced collection,
 // while the server holds the publication.
 func BenchmarkServerPublish(b *testing.B) {
-	body := renderRecords(benchLiveRecords(b)[:20_000])
+	published, _ := liveRecords(b)
+	body := renderRecords(published)
 	for _, c := range []struct{ name, params string }{
 		{"global", ""},
 		{"stream", "&stream=1&membudget=1M"},

@@ -347,9 +347,11 @@ func TestDeleteRemovesArtifact(t *testing.T) {
 // sections are built concurrently, and that must not change a byte. The same
 // global publish, stream=1 publish, append and remove, served at GOMAXPROCS 1
 // (the builds run one after the other) and at 4 (side by side), must leave
-// byte-equal snapshot files and stats bodies after every step. The builds
-// share the publication, the posting index and the original records
-// read-only; CI runs this test under -race -count=10.
+// byte-equal snapshot files and stats bodies after every step. The stream
+// publish's budget derives a cut above MaxClusterSize, which must not depend
+// on GOMAXPROCS either. The builds share the publication, the posting index
+// and the original records read-only; CI runs this test under -race
+// -count=10.
 func TestSnapshotBuildsScheduleFree(t *testing.T) {
 	cfg := quest.DefaultConfig()
 	cfg.NumTransactions, cfg.DomainSize, cfg.AvgTransLen, cfg.Seed = 1_200, 200, 6, 3
@@ -359,12 +361,9 @@ func TestSnapshotBuildsScheduleFree(t *testing.T) {
 	}
 	records := g.Generate().Records
 	text, delta := renderRecords(records[:1_000]), renderRecords(records[1_000:1_020])
-	// A budget this small derives a cut of the minimum, MaxClusterSize, at
-	// any worker count, so the stream publish's bytes do not depend on
-	// GOMAXPROCS the way a larger budget's cut would.
 	steps := []struct{ name, path, body string }{
 		{"global", "/v1/datasets/global?k=5&m=2&seed=1", text},
-		{"streamed", "/v1/datasets/streamed?k=5&m=2&seed=1&stream=1&membudget=1K", text},
+		{"streamed", "/v1/datasets/streamed?k=5&m=2&seed=1&stream=1&membudget=64K", text},
 		{"global", "/v1/datasets/global/append", delta},
 		{"streamed", "/v1/datasets/streamed/remove", renderRecords(records[:20])},
 	}
@@ -381,8 +380,17 @@ func TestSnapshotBuildsScheduleFree(t *testing.T) {
 			return rec.Body.Bytes()
 		}
 		var out [][]byte
-		for _, st := range steps {
-			serve("POST", st.path, st.body)
+		for i, st := range steps {
+			body := serve("POST", st.path, st.body)
+			if i == 1 {
+				var info DatasetInfo
+				if err := json.Unmarshal(body, &info); err != nil {
+					t.Fatal(err)
+				}
+				if info.ShardRecords <= core.DefaultMaxClusterSize {
+					t.Fatalf("GOMAXPROCS %d: the stream publish cut at %d records, want above MaxClusterSize", procs, info.ShardRecords)
+				}
+			}
 			file, err := os.ReadFile(filepath.Join(dir, st.name+".snap"))
 			if err != nil {
 				t.Fatal(err)

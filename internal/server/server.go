@@ -237,11 +237,13 @@ type MetricsResponse struct {
 
 // DeltaResponse is the body answering a successful append or remove: the new
 // snapshot's info plus what the republish actually recomputed. DirtyShards out
-// of TotalShards changed (their records or split-path set) and were
-// re-anonymized; ReplannedShards of those lie in a plan subtree rebuilt in
+// of TotalShards were re-anonymized: their records or split-path set changed,
+// or they moved to a new index because a rebuilt subtree before them changed
+// the shard count. ReplannedShards of those lie in a plan subtree rebuilt in
 // place because the delta flipped a shard-boundary decision, whose unchanged
-// shards are kept and not counted; FullRepublish reports the fallback for
-// boundary shifts replanning could not absorb.
+// shards are kept and not counted. FullRepublish reports that the shards no
+// longer line up with the old ones index for index: the delta changed the
+// shard count, or the republish_scratch oracle build ran from scratch.
 type DeltaResponse struct {
 	DatasetInfo
 	Appended        int  `json:"appended"`
@@ -522,9 +524,9 @@ func (s *Server) publishError(w http.ResponseWriter, err error) {
 // publish runs the stateful pipeline (the published bytes are identical to a
 // plain Anonymize), keeping the original for metrics and deltas. A stream
 // publish without an explicit cut takes the one the streaming engine would
-// derive from budget (shard.Cut), so it publishes the engine's bytes; the
-// server holds the whole publication in memory either way, so the budget
-// only chooses the cut. Its snapshot does not keep the republish state (the
+// derive from budget (shard.Cut, which does not depend on the worker count),
+// so it publishes the engine's bytes on any host; the server holds the whole
+// publication in memory either way, so the budget only chooses the cut. Its snapshot does not keep the republish state (the
 // plan tree with its retained supports, and the shard lists), which keeps
 // its resident set near what the budget asked for; the first delta
 // rehydrates the state, as for a recovered snapshot.

@@ -53,21 +53,29 @@ const DefaultMemoryBudget = 256 << 20
 
 // pipelineExpansion estimates how many bytes of working state the core
 // pipeline builds per byte of resident record data (term indexes, chunk
-// projections, refinement aggregates). It sizes shards so that a worker
-// processing one shard stays within its slice of the memory budget; the
-// bounded-memory test pins the resulting peak-heap envelope.
+// projections, refinement aggregates). It sizes shards so that each shard
+// in process stays within its share of the memory budget; the bounded-memory
+// test pins the resulting peak-heap envelope.
 const pipelineExpansion = 6
+
+// shardsInFlight is how many shard working sets the engine sizes the budget
+// for: the derived cut is that share of it, and under a derived cut at most
+// that many shards are processed at once. It is fixed, so the derived cut,
+// and with it the published bytes, do not depend on the worker count.
+const shardsInFlight = 2
 
 // Options configures the streaming engine.
 type Options struct {
 	// Core carries the anonymization parameters. MaxShardRecords, when set,
 	// fixes the shard cut explicitly; when zero the engine derives it from
 	// MemoryBudget after the counting pass (and records the choice in
-	// Stats.ShardRecords). The derived cut is one worker's share of the
-	// budget, so unlike every other use of Parallel it changes the
-	// published bytes; passing Stats.ShardRecords back as MaxShardRecords
-	// reproduces them at any worker count. All other fields mean exactly
-	// what they mean for core.Anonymize.
+	// Stats.ShardRecords). The derived cut depends on the budget and the
+	// input, not on Parallel, so the published bytes are the same at any
+	// worker count; passing Stats.ShardRecords back as MaxShardRecords
+	// reproduces them in memory. Parallel workers process the shards, at
+	// most shardsInFlight at once under a derived cut, and bound the workers
+	// inside each. All other fields mean exactly what they mean for
+	// core.Anonymize.
 	Core core.Options
 	// MemoryBudget is the target working-set bound in bytes; 0 means
 	// DefaultMemoryBudget. It is best effort: a shard that cannot be split
@@ -87,7 +95,7 @@ type Stats struct {
 	Terms        int   // distinct terms (|T|)
 	Shards       int   // shards of the plan
 	Clusters     int   // top-level clusters published
-	ShardRecords int   // the shard cut used (derived or explicit)
+	ShardRecords int   // the shard cut used (explicit, or derived from budget and input)
 	Spilled      bool  // whether the input exceeded the budget
 	SpillBytes   int64 // bytes staged in temp files (records + bodies)
 }
@@ -377,11 +385,10 @@ func (e *engine) startSpill() error {
 
 // Cut returns the shard cut of a streamed run over records records holding
 // terms term occurrences in all: opts.MaxShardRecords when set, otherwise
-// one worker's slice of the memory budget (DefaultMemoryBudget when budget
-// is not positive), assuming pipelineExpansion bytes of working state per
-// resident record byte, and never below MaxClusterSize. opts must be
-// defaulted (core.ShardOptions): Parallel and MaxClusterSize enter the
-// formula.
+// one shardsInFlight-th of the memory budget (DefaultMemoryBudget when
+// budget is not positive), assuming pipelineExpansion bytes of working state
+// per resident record byte, and never below MaxClusterSize. opts must be
+// defaulted (core.ShardOptions): MaxClusterSize enters the formula.
 func Cut(opts core.Options, budget int64, records int, terms int64) int {
 	if opts.MaxShardRecords > 0 {
 		return opts.MaxShardRecords
@@ -389,16 +396,12 @@ func Cut(opts core.Options, budget int64, records int, terms int64) int {
 	if budget <= 0 {
 		budget = DefaultMemoryBudget
 	}
-	workers := opts.Parallel
-	if workers < 1 {
-		workers = 1
-	}
 	avgLen := float64(10)
 	if records > 0 {
 		avgLen = float64(terms) / float64(records)
 	}
 	perRecord := pipelineExpansion * float64(recordFootprint(int(math.Ceil(avgLen))))
-	s := int(float64(budget) / perRecord / float64(workers))
+	s := int(float64(budget) / perRecord / shardsInFlight)
 	if s < opts.MaxClusterSize {
 		s = opts.MaxClusterSize
 	}
@@ -407,9 +410,14 @@ func Cut(opts core.Options, budget int64, records int, terms int64) int {
 
 // processShards runs the core pipeline over every planned shard on the
 // worker pool, each worker appending its shards' published clusters to its
-// own body file.
+// own body file. A derived cut sizes a shard to a shardsInFlight-th of the
+// budget, so under one at most shardsInFlight shards run at once; an
+// explicit cut runs one per worker.
 func (e *engine) processShards() error {
 	workers := min(max(e.copts.Parallel, 1), len(e.shards))
+	if e.opts.Core.MaxShardRecords <= 0 {
+		workers = min(workers, shardsInFlight)
+	}
 	e.bodies = make([]*os.File, workers)
 	for w := range e.bodies {
 		f, err := e.create("body")

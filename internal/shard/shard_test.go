@@ -260,6 +260,28 @@ func TestStreamPublishedValid(t *testing.T) {
 	}
 }
 
+// TestStreamShardsInFlight pins how many shards a spilled run processes at
+// once, as the body files it opens: one per worker under an explicit cut,
+// and at most shardsInFlight under a derived cut, which sizes each shard to
+// that share of the budget.
+func TestStreamShardsInFlight(t *testing.T) {
+	_, text := genDataset(t, 42, 600, 50, 8)
+	for _, cut := range []int{30, 0} {
+		for _, workers := range []int{1, 3} {
+			copts := core.Options{K: 3, M: 2, Seed: 1, MaxShardRecords: cut, Parallel: workers}
+			_, st, e := runEngine(t, text, Options{Core: copts, MemoryBudget: 4 << 10, TempDir: t.TempDir()})
+			want := min(workers, st.Shards)
+			if cut == 0 {
+				want = min(want, shardsInFlight)
+			}
+			if !st.Spilled || st.Shards <= workers || len(e.bodies) != want {
+				t.Errorf("cut=%d workers=%d: %d shards (spilled=%v) ran %d at once, want %d",
+					cut, workers, st.Shards, st.Spilled, len(e.bodies), want)
+			}
+		}
+	}
+}
+
 // TestStreamSpillLinear pins what planning costs in temp files on a lopsided
 // HORPART chain (3k Quest records, cut 50) whose root fits the planning
 // share: every split is made in memory, the only temp files are the root

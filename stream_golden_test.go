@@ -117,3 +117,47 @@ func TestGoldenPublications(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamDerivedCutWorkerFree: a streamed publish whose shard cut the
+// engine derives from a budget the input spills under publishes the same
+// bytes, and reports the same cut, at any worker count. The cut is sized for
+// a fixed number of shards in flight, not for Parallel.
+func TestStreamDerivedCutWorkerFree(t *testing.T) {
+	d, text := goldenDataset(t)
+	var first []byte
+	var firstStats disasso.StreamStats
+	for _, workers := range []int{1, 4} {
+		var got bytes.Buffer
+		st, err := disasso.AnonymizeStream(strings.NewReader(text), &got, disasso.StreamOptions{
+			Core:         disasso.Options{K: 3, M: 2, MaxClusterSize: 12, Seed: 1, Parallel: workers},
+			MemoryBudget: 32 << 10,
+			TempDir:      t.TempDir(),
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !st.Spilled || st.Shards < 2 || st.ShardRecords <= 12 {
+			t.Fatalf("workers=%d: want a spilled run cut above MaxClusterSize, got %+v", workers, st)
+		}
+		if first == nil {
+			first, firstStats = got.Bytes(), st
+			continue
+		}
+		if st.ShardRecords != firstStats.ShardRecords || !bytes.Equal(got.Bytes(), first) {
+			t.Errorf("workers=%d cut at %d records (%d shards), workers=1 at %d (%d shards): the publications differ",
+				workers, st.ShardRecords, st.Shards, firstStats.ShardRecords, firstStats.Shards)
+		}
+	}
+	// The derived cut reproduces the bytes in memory.
+	a, err := disasso.Anonymize(d, disasso.Options{K: 3, M: 2, MaxClusterSize: 12, Seed: 1, MaxShardRecords: firstStats.ShardRecords})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := disasso.WriteBinary(&want, a); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, want.Bytes()) {
+		t.Error("the streamed publication differs from an in-memory run at its reported cut")
+	}
+}

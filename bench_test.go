@@ -278,41 +278,47 @@ func BenchmarkAnonymizeEndToEndParallel(b *testing.B) {
 
 // BenchmarkAnonymizeStream measures the sharded streaming engine under a
 // 1 MiB memory budget, end to end: the counting pass, shard planning, the
-// per-shard pipeline and chunked output assembly. Two shapes run:
+// per-shard pipeline and chunked output assembly. Three shapes run:
 //
 //   - quest40k: 40k Quest records (1k-term domain, average length 8), about
-//     4× the budget, so the plan's root routes through spill files;
+//     4× the budget, whose HORPART chain is planned in memory;
 //   - publish: the end-to-end benchmark's streamed publish, 20k Quest
-//     records (5k-term domain, average length 10, Quest seed 1), whose
-//     HORPART chain is planned in memory.
+//     records (5k-term domain, average length 10, Quest seed 1), planned in
+//     memory too;
+//   - uniform40k: 40k records of 2–10 terms drawn uniformly from 2k ids
+//     (TestStreamBoundedMemory's generator), whose root does not fit the
+//     planning share, so its plan routes through spill files.
 //
 // The bytes staged in temp files (Stats.SpillBytes) and the peak live heap
 // are attached as custom metrics. The peak comes from one extra, untimed
 // run under livePeakHeap's forced-collection sampler; the bounded-memory
 // contract itself is asserted by the internal/shard tests.
 func BenchmarkAnonymizeStream(b *testing.B) {
-	for _, shape := range []struct {
-		name   string
-		n      int
-		domain int
-		avgLen float64
-		seed   uint64
-	}{
-		{"quest40k", 40_000, 1_000, 8, 42},
-		{"publish", 20_000, 5_000, 10, 1},
-	} {
-		b.Run(shape.name, func(b *testing.B) {
+	streamQuest := func(n, domain int, avgLen float64, seed uint64) func(*testing.B) *dataset.Dataset {
+		return func(b *testing.B) *dataset.Dataset {
 			cfg := quest.DefaultConfig()
-			cfg.NumTransactions = shape.n
-			cfg.DomainSize = shape.domain
-			cfg.AvgTransLen = shape.avgLen
-			cfg.Seed = shape.seed
+			cfg.NumTransactions = n
+			cfg.DomainSize = domain
+			cfg.AvgTransLen = avgLen
+			cfg.Seed = seed
 			g, err := quest.New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
+			return g.Generate()
+		}
+	}
+	for _, shape := range []struct {
+		name string
+		gen  func(*testing.B) *dataset.Dataset
+	}{
+		{"quest40k", streamQuest(40_000, 1_000, 8, 42)},
+		{"publish", streamQuest(20_000, 5_000, 10, 1)},
+		{"uniform40k", func(*testing.B) *dataset.Dataset { return uniformRecords(40_000) }},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
 			var text bytes.Buffer
-			if err := disasso.WriteIDs(&text, g.Generate()); err != nil {
+			if err := disasso.WriteIDs(&text, shape.gen(b)); err != nil {
 				b.Fatal(err)
 			}
 			input := text.Bytes()
@@ -345,6 +351,22 @@ func BenchmarkAnonymizeStream(b *testing.B) {
 			b.ReportMetric(float64(spill)/(1<<20), "spill-MiB")
 		})
 	}
+}
+
+// uniformRecords generates n records the way TestStreamBoundedMemory's
+// dataset does: PCG seeds 0xB16, 0xDA7A, each record's terms drawn from 2,000
+// ids while j < 2+IntN(9), a bound redrawn before every term.
+func uniformRecords(n int) *dataset.Dataset {
+	rng := rand.New(rand.NewPCG(0xB16, 0xDA7A))
+	records := make([]dataset.Record, n)
+	for i := range records {
+		var terms []dataset.Term
+		for j := 0; j < 2+rng.IntN(9); j++ {
+			terms = append(terms, dataset.Term(rng.IntN(2000)))
+		}
+		records[i] = dataset.NewRecord(terms...)
+	}
+	return dataset.FromRecords(records)
 }
 
 // livePeakHeap runs fn once and returns its peak live heap over the heap

@@ -63,14 +63,13 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		maxBody  = flag.String("max-body", "", "request body cap, bytes with optional K/M/G suffix (default 64M)")
 		maxRecon = flag.Int("max-reconstructions", 0, "per-request reconstruction sample cap (default 16)")
-		supCache = flag.Int("support-cache", 0, "per-snapshot support cache entries (default 8192, negative disables)")
 		dataDir  = flag.String("data-dir", "", "directory for persistent snapshot files; publications survive restarts (default in-memory only)")
 	)
 	flag.String("tmpdir", "", "ignored: the daemon writes no spill files; accepted so older command lines still parse")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *addr, *maxBody, *maxRecon, *supCache, *dataDir, os.Stderr); err != nil {
+	if err := run(ctx, *addr, *maxBody, *maxRecon, *dataDir, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "disassod:", err)
 		os.Exit(1)
 	}
@@ -81,7 +80,7 @@ func main() {
 // registry is recovered from its snapshot files before the listener opens —
 // O(files), no re-anonymization — so the first request already sees every
 // surviving dataset.
-func run(ctx context.Context, addr, maxBody string, maxRecon, supCache int, dataDir string, logw io.Writer) error {
+func run(ctx context.Context, addr, maxBody string, maxRecon int, dataDir string, logw io.Writer) error {
 	bodyCap, err := dataset.ParseByteSize(maxBody)
 	if err != nil {
 		return err
@@ -93,11 +92,10 @@ func run(ctx context.Context, addr, maxBody string, maxRecon, supCache int, data
 		}
 	}
 	handler := disasso.NewServer(disasso.ServerOptions{
-		MaxBodyBytes:        bodyCap,
-		MaxReconstructions:  maxRecon,
-		SupportCacheEntries: supCache,
-		DataDir:             dataDir,
-		Logf:                logger.Printf,
+		MaxBodyBytes:       bodyCap,
+		MaxReconstructions: maxRecon,
+		DataDir:            dataDir,
+		Logf:               logger.Printf,
 	})
 	if dataDir != "" {
 		rep, err := handler.Recover()

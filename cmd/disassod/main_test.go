@@ -37,7 +37,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	defer cancel()
 	logs := &syncBuffer{}
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, "127.0.0.1:0", "1M", 2, 0, "", logs) }()
+	go func() { done <- run(ctx, "127.0.0.1:0", "1M", 2, "", logs) }()
 
 	var base string
 	deadline := time.Now().Add(10 * time.Second)
@@ -95,10 +95,10 @@ func TestRunServesAndShutsDown(t *testing.T) {
 }
 
 func TestRunBadConfig(t *testing.T) {
-	if err := run(context.Background(), "127.0.0.1:0", "lots", 0, 0, "", io.Discard); err == nil {
+	if err := run(context.Background(), "127.0.0.1:0", "lots", 0, "", io.Discard); err == nil {
 		t.Error("bad -max-body accepted")
 	}
-	if err := run(context.Background(), "not-an-address:-1", "", 0, 0, "", io.Discard); err == nil {
+	if err := run(context.Background(), "not-an-address:-1", "", 0, "", io.Discard); err == nil {
 		t.Error("bad -addr accepted")
 	}
 }

@@ -65,7 +65,6 @@ type config struct {
 	requests  int64         // stop after this many ops (0 = duration-bound only)
 	rate      float64       // aggregate target ops/s (0 = closed loop)
 	batch     int           // support queries coalesced per POST request
-	cache     int           // in-process server support-cache entries (-1 disables)
 	noPublish bool          // assume the dataset is already published
 	benchFmt  bool          // emit go-bench-style lines on stdout
 	label     string        // bench line label
@@ -89,7 +88,6 @@ func main() {
 	flag.Int64Var(&cfg.requests, "requests", 0, "total op budget (0 = until -duration)")
 	flag.Float64Var(&cfg.rate, "rate", 0, "aggregate open-loop target ops/s (0 = closed loop)")
 	flag.IntVar(&cfg.batch, "batch", 1, "consecutive support queries coalesced into one batch POST (analyst-client style)")
-	flag.IntVar(&cfg.cache, "cache", 0, "in-process server support-cache entries (0 = server default, <0 disables)")
 	flag.BoolVar(&cfg.noPublish, "no-publish", false, "assume the dataset is already published under -dataset")
 	flag.BoolVar(&cfg.benchFmt, "bench", false, "emit go test -bench style result lines on stdout (summary goes to stderr)")
 	flag.StringVar(&cfg.label, "label", "Loadbench", "benchmark name prefix for -bench output")
@@ -160,13 +158,13 @@ func run(cfg config, out, logw io.Writer) error {
 
 	base := cfg.addr
 	if cfg.inprocess {
-		srv, shutdown, err := startInprocess(cfg)
+		srv, shutdown, err := startInprocess()
 		if err != nil {
 			return err
 		}
 		defer shutdown()
 		base = srv
-		fmt.Fprintf(logw, "loadbench: in-process disassod on %s (cache=%d)\n", base, cfg.cache)
+		fmt.Fprintf(logw, "loadbench: in-process disassod on %s\n", base)
 	}
 
 	cl := &driver{
@@ -206,8 +204,8 @@ func resolveSpec(cfg config) (*load.Spec, error) {
 
 // startInprocess serves disasso.NewServer on a loopback listener, returning
 // the base URL and a shutdown func.
-func startInprocess(cfg config) (string, func(), error) {
-	handler := disasso.NewServer(disasso.ServerOptions{SupportCacheEntries: cfg.cache})
+func startInprocess() (string, func(), error) {
+	handler := disasso.NewServer(disasso.ServerOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err

@@ -287,8 +287,8 @@ type (
 // NewServer returns the HTTP query service serving the disassod API:
 // dataset publishing (stream=1 derives the shard cut from a memory budget),
 // append/remove deltas, itemset support estimates
-// over the inverted index (memoized by a bounded per-snapshot support cache,
-// ServerOptions.SupportCacheEntries), reconstruction sampling, utility
+// over the inverted index (memoized by a bounded per-snapshot support cache;
+// -tags support_nocache builds it without), reconstruction sampling, utility
 // metrics and stats. With ServerOptions.DataDir set, publications persist as
 // snapshot files and (*Server).Recover restores them after a restart. The
 // server is safe for concurrent use.

@@ -186,13 +186,15 @@ func RunShard(records []dataset.Record, path []dataset.Term, index int, dom *dat
 		leaves[i] = newLeafState(records, cl, ix)
 	})
 
-	nodes := make([]*refNode, len(leaves))
-	for i, l := range leaves {
-		nodes[i] = &refNode{leaf: l}
-	}
-	if !opts.DisableRefine {
+	var nodes []*refNode
+	if opts.DisableRefine {
+		nodes = make([]*refNode, len(leaves))
+		for i, l := range leaves {
+			nodes[i] = &refNode{leaf: l}
+		}
+	} else {
 		rng := rand.New(rand.NewPCG(opts.Seed, 0xEF11E^(shardIdx<<32)))
-		nodes = refineN(nodes, opts.K, opts.M, sensitive, rng, opts.Parallel, nTerms)
+		nodes = refineN(leaves, opts.K, opts.M, sensitive, rng, opts.Parallel, nTerms)
 	}
 
 	published := make([]*ClusterNode, len(nodes))

@@ -138,8 +138,8 @@ func TestKMCheckerSlowPathAgrees(t *testing.T) {
 	}
 	for _, k := range []int{2, 3} {
 		for _, m := range []int{1, 2, 3} {
-			fast := newKMChecker(k, m, records)
-			slow := newKMChecker(k, m, records)
+			fast := newKMCheckerOnIndex(k, m, buildClusterIndex(records))
+			slow := newKMCheckerOnIndex(k, m, buildClusterIndex(records))
 			if !slow.packed {
 				t.Fatal("fixture should default to the packed path")
 			}

@@ -57,15 +57,10 @@ type kmChecker struct {
 	counts map[string]int
 }
 
-// newKMChecker builds a checker over the given record bag. VERPART and
-// REFINE, which run several greedy passes over one bag, build the index once
-// and use newKMCheckerOnIndex instead.
-func newKMChecker(k, m int, records []dataset.Record) *kmChecker {
-	return newKMCheckerOnIndex(k, m, buildClusterIndex(records))
-}
-
-// newKMCheckerOnIndex builds a checker sharing a prebuilt cluster index (and
-// its scratch buffers — checkers on one index must not be used concurrently).
+// newKMCheckerOnIndex builds a checker over the record bag of a cluster
+// index. VERPART and REFINE run several greedy passes over one bag, so the
+// checkers share the index and its scratch buffers — checkers on one index
+// must not be used concurrently.
 func newKMCheckerOnIndex(k, m int, ix *clusterIndex) *kmChecker {
 	c := &kmChecker{k: k, m: m, ix: ix}
 	c.base = uint64(len(ix.terms)) + 1
@@ -180,10 +175,6 @@ type kAnonChecker struct {
 	withCnt   []int32 // scratch: members of the class containing t
 	newID     []int32 // scratch: class -> freshly split-off class
 	touched   []int32 // scratch: classes with at least one t-containing member
-}
-
-func newKAnonChecker(k int, records []dataset.Record) *kAnonChecker {
-	return newKAnonCheckerOnIndex(k, buildClusterIndex(records))
 }
 
 func newKAnonCheckerOnIndex(k int, ix *clusterIndex) *kAnonChecker {

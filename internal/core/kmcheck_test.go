@@ -48,7 +48,7 @@ func TestKMCheckerFirstTermAlwaysAdds(t *testing.T) {
 	records := []dataset.Record{
 		dataset.NewRecord(1), dataset.NewRecord(1), dataset.NewRecord(1),
 	}
-	c := newKMChecker(3, 2, records)
+	c := newKMCheckerOnIndex(3, 2, buildClusterIndex(records))
 	if !c.TryAdd(1) {
 		t.Fatal("first term with support ≥ k rejected")
 	}
@@ -65,7 +65,7 @@ func TestKMCheckerRejectsInfrequentPair(t *testing.T) {
 		dataset.NewRecord(1),
 		dataset.NewRecord(2),
 	}
-	c := newKMChecker(3, 2, records)
+	c := newKMCheckerOnIndex(3, 2, buildClusterIndex(records))
 	if !c.TryAdd(1) {
 		t.Fatal("term 1 rejected")
 	}
@@ -83,7 +83,7 @@ func TestKMCheckerAcceptsZeroCooccurrence(t *testing.T) {
 		dataset.NewRecord(1), dataset.NewRecord(1), dataset.NewRecord(1),
 		dataset.NewRecord(2), dataset.NewRecord(2), dataset.NewRecord(2),
 	}
-	c := newKMChecker(3, 2, records)
+	c := newKMCheckerOnIndex(3, 2, buildClusterIndex(records))
 	if !c.TryAdd(1) || !c.TryAdd(2) {
 		t.Error("disjoint terms with support ≥ k must coexist in a chunk")
 	}
@@ -94,11 +94,11 @@ func TestKMCheckerM1(t *testing.T) {
 	records := []dataset.Record{
 		dataset.NewRecord(1, 2), dataset.NewRecord(1, 2), dataset.NewRecord(1),
 	}
-	c := newKMChecker(2, 1, records)
+	c := newKMCheckerOnIndex(2, 1, buildClusterIndex(records))
 	if !c.TryAdd(1) || !c.TryAdd(2) {
 		t.Error("m=1 must ignore pair supports")
 	}
-	c = newKMChecker(3, 1, records)
+	c = newKMCheckerOnIndex(3, 1, buildClusterIndex(records))
 	if !c.TryAdd(1) {
 		t.Error("term with support 3 rejected at k=3")
 	}
@@ -116,14 +116,14 @@ func TestKMCheckerM3(t *testing.T) {
 		dataset.NewRecord(1, 3),
 		dataset.NewRecord(2, 3),
 	}
-	c := newKMChecker(3, 3, records)
+	c := newKMCheckerOnIndex(3, 3, buildClusterIndex(records))
 	if !c.TryAdd(1) || !c.TryAdd(2) {
 		t.Fatal("setup failed")
 	}
 	if c.TryAdd(3) {
 		t.Error("triple with support 2 < 3 accepted at m=3")
 	}
-	c2 := newKMChecker(2, 3, records)
+	c2 := newKMCheckerOnIndex(2, 3, buildClusterIndex(records))
 	if !c2.TryAdd(1) || !c2.TryAdd(2) || !c2.TryAdd(3) {
 		t.Error("k=2 must accept the triple (support 2)")
 	}
@@ -145,7 +145,7 @@ func TestKMCheckerMatchesFullCheck(t *testing.T) {
 		}
 		k := 2 + rng.IntN(3)
 		m := 1 + rng.IntN(3)
-		c := newKMChecker(k, m, records)
+		c := newKMCheckerOnIndex(k, m, buildClusterIndex(records))
 		for term := dataset.Term(0); term < 6; term++ {
 			if itemset.SupportOf(records, dataset.NewRecord(term)) < k {
 				continue
@@ -174,7 +174,7 @@ func TestKAnonChecker(t *testing.T) {
 		dataset.NewRecord(1, 2), dataset.NewRecord(1, 2), dataset.NewRecord(1, 2),
 		dataset.NewRecord(1), dataset.NewRecord(1), dataset.NewRecord(1),
 	}
-	c := newKAnonChecker(3, records)
+	c := newKAnonCheckerOnIndex(3, buildClusterIndex(records))
 	if !c.TryAdd(1) {
 		t.Fatal("singleton domain {1} with 6 identical subrecords rejected")
 	}
@@ -185,7 +185,7 @@ func TestKAnonChecker(t *testing.T) {
 
 	// Now a bag where adding term 2 creates a group of size 1.
 	records = append(records, dataset.NewRecord(2))
-	c = newKAnonChecker(3, records)
+	c = newKAnonCheckerOnIndex(3, buildClusterIndex(records))
 	if !c.TryAdd(1) {
 		t.Fatal("setup")
 	}

@@ -49,30 +49,13 @@ func newLeafState(records []dataset.Record, cl *Cluster, ix *clusterIndex) *leaf
 	return l
 }
 
-// ensureSupports builds the support cache. It must be called before the leaf
-// is shared across concurrent planJoin calls.
-func (l *leafState) ensureSupports() {
-	if l.supTerms != nil {
-		return
-	}
-	l.supTerms = dataset.DistinctTerms(l.records)
-	l.supCounts = make([]int32, len(l.supTerms))
-	for _, r := range l.records {
-		l.termTotal += len(r)
-		for _, t := range r {
-			j, _ := slices.BinarySearch(l.supTerms, t)
-			l.supCounts[j]++
-		}
-	}
-}
-
 // support returns the number of the leaf's records containing t. The cache
-// must have been built (ensureSupports / newLeafState): lazily building it
-// here would race when concurrent planJoin calls share the leaf, so a missing
-// cache is a bug, not a condition to repair.
+// comes from newLeafState: lazily building it here would race when
+// concurrent planJoin calls share the leaf, so a missing cache is a bug, not
+// a condition to repair.
 func (l *leafState) support(t dataset.Term) int {
 	if l.supTerms == nil {
-		panic("core: leafState.support called before ensureSupports; the cache must be built before planJoin shares the leaf across goroutines")
+		panic("core: leafState.support on a leaf not built by newLeafState; the cache must exist before planJoin shares the leaf across goroutines")
 	}
 	if i, ok := slices.BinarySearch(l.supTerms, t); ok {
 		return int(l.supCounts[i])
@@ -100,166 +83,48 @@ type refNode struct {
 	supTC     []int32        // per virtTC term: total support over the leaves whose term chunk holds it
 }
 
-func (n *refNode) leaves(dst []*leafState) []*leafState {
-	if n.leaf != nil {
-		return append(dst, n.leaf)
-	}
-	for _, c := range n.children {
-		dst = c.leaves(dst)
-	}
-	return dst
-}
-
-// recordAndSharedDomains collects T^r: every term appearing in a record
-// chunk of a descendant leaf or in a shared chunk of a descendant joint.
-// into is a dense presence table indexed by term id (the pipeline runs in
-// rank space), sized by the caller to at least maxNodeTerm()+1.
-func (n *refNode) recordAndSharedDomains(into []bool) {
-	if n.leaf != nil {
-		for _, c := range n.leaf.cluster.RecordChunks {
-			for _, t := range c.Domain {
-				into[t] = true
-			}
-		}
-		return
-	}
-	for _, c := range n.shared {
-		for _, t := range c.Domain {
-			into[t] = true
-		}
-	}
-	for _, child := range n.children {
-		child.recordAndSharedDomains(into)
-	}
-}
-
-func (n *refNode) refreshVirtualTC() {
-	var union dataset.Record
-	for _, l := range n.leaves(nil) {
-		union = union.Union(l.cluster.TermChunk)
-	}
-	n.virtTC = union
-}
-
-// initDerived computes the cached aggregates from the subtree. It runs once
-// per root handed to refine (and in tryJoin); joints created by commit get
-// their aggregates incrementally instead.
-func (n *refNode) initDerived() {
-	n.leafList = n.leaves(nil)
-	n.sz = 0
-	for _, l := range n.leafList {
-		l.ensureSupports()
-		n.sz += l.cluster.Size
-	}
-	n.refreshVirtualTC()
+// newLeafNode wraps a VERPART leaf as a forest node with its aggregates. It
+// is REFINE's only initializer: a joint derives its aggregates from its two
+// parents in commit. The leaf list is the leaf itself, the virtual term
+// chunk a copy of its term chunk (so no aggregate shares memory with the
+// published cluster), supTC its in-cluster supports and T^r the union of
+// its record-chunk domains.
+func newLeafNode(l *leafState) *refNode {
+	n := &refNode{leaf: l, sz: l.cluster.Size, leafList: []*leafState{l}}
+	n.virtTC = slices.Clone(l.cluster.TermChunk)
 	n.refreshSupTC()
-	tr := make([]bool, n.maxNodeTerm()+1)
-	n.recordAndSharedDomains(tr)
-	var terms dataset.Record
-	for t, present := range tr {
-		if present {
-			terms = append(terms, dataset.Term(t))
-		}
+	var tr dataset.Record
+	for _, c := range l.cluster.RecordChunks {
+		tr = append(tr, c.Domain...)
 	}
-	n.trDomains = terms
+	n.trDomains = tr.Normalize()
+	return n
 }
 
-// refreshSupTC rebuilds the per-term support aggregate from the leaves: for
-// each virtTC term, the total in-cluster support across the leaves whose term
-// chunk still holds it (exactly the totals planJoin's eligibility check
-// needs). virtTC must be fresh.
+// refreshSupTC fills a leaf node's supTC: for each virtTC term, its
+// in-cluster support, read off the leaf's support cache in one merge.
 func (n *refNode) refreshSupTC() {
+	l := n.leaf
 	n.supTC = make([]int32, len(n.virtTC))
-	for _, l := range n.leafList {
-		j, k := 0, 0
-		for _, t := range l.cluster.TermChunk {
-			for j < len(n.virtTC) && n.virtTC[j] < t {
-				j++
-			}
-			if j == len(n.virtTC) || n.virtTC[j] != t {
-				continue // unreachable: virtTC is the union of the term chunks
-			}
-			for k < len(l.supTerms) && l.supTerms[k] < t {
-				k++
-			}
-			if k < len(l.supTerms) && l.supTerms[k] == t {
-				n.supTC[j] += l.supCounts[k]
-			}
+	k := 0
+	for j, t := range n.virtTC {
+		for k < len(l.supTerms) && l.supTerms[k] < t {
+			k++
+		}
+		if k < len(l.supTerms) && l.supTerms[k] == t {
+			n.supTC[j] = l.supCounts[k]
 		}
 	}
 }
 
-// maxNodeTerm returns the largest term id appearing in the node's term
-// chunks, record-chunk domains or shared-chunk domains (every term the
-// refinement of this subtree can touch), or -1.
-func (n *refNode) maxNodeTerm() int {
-	maxT := -1
-	upd := func(r dataset.Record) {
-		if len(r) > 0 && int(r[len(r)-1]) > maxT {
-			maxT = int(r[len(r)-1])
-		}
-	}
-	if n.leaf != nil {
-		upd(n.leaf.cluster.TermChunk)
-		for _, c := range n.leaf.cluster.RecordChunks {
-			upd(c.Domain)
-		}
-		return maxT
-	}
-	for _, c := range n.shared {
-		upd(c.Domain)
-	}
-	for _, child := range n.children {
-		if m := child.maxNodeTerm(); m > maxT {
-			maxT = m
-		}
-	}
-	return maxT
-}
-
-// Refine implements Algorithm REFINE (Section 4): it repeatedly orders the
-// cluster forest by term-chunk contents and joins adjacent pairs whose
-// refining terms satisfy the Equation 1 criterion, building k^m-anonymous
-// (or, where Property 1 demands, k-anonymous) shared chunks, until a fixpoint.
-// Sensitive terms never become refining terms: they must stay in term chunks
-// (the l-diversity mode of Section 5).
-//
-// refine is the map-keyed convenience wrapper used by tests and standalone
-// callers: it derives a dense term domain bound from the forest and defers to
-// refineN. The pipeline calls refineN directly with the dataset's domain.
-func refine(nodes []*refNode, k, m int, sensitive map[dataset.Term]bool, rng *rand.Rand, workers int) []*refNode {
-	bits, nTerms := sensitiveBitsFor(nodes, sensitive)
-	return refineN(nodes, k, m, bits, rng, workers, nTerms)
-}
-
-// sensitiveBitsFor derives the dense term-domain bound of a forest (every
-// term the refinement can touch, plus the sensitive terms) and the sensitive
-// map as a flat table over it.
-func sensitiveBitsFor(nodes []*refNode, sensitive map[dataset.Term]bool) ([]bool, int) {
-	maxT := -1
-	for _, n := range nodes {
-		if mt := n.maxNodeTerm(); mt > maxT {
-			maxT = mt
-		}
-	}
-	//lint:deterministic order-independent max reduction
-	for t := range sensitive {
-		if int(t) > maxT {
-			maxT = int(t)
-		}
-	}
-	bits := make([]bool, maxT+1)
-	//lint:deterministic order-independent scatter into a dense boolean table
-	for t, v := range sensitive {
-		if v {
-			bits[t] = true
-		}
-	}
-	return bits, maxT + 1
-}
-
-// refineN is the incremental REFINE engine over a dense term domain: every
-// term id is below nTerms and sensitive is indexed by term id.
+// refineN implements Algorithm REFINE (Section 4) over the VERPART leaves of
+// one shard: it repeatedly orders the cluster forest by term-chunk contents
+// and joins adjacent pairs whose refining terms satisfy the Equation 1
+// criterion, building k^m-anonymous (or, where Property 1 demands,
+// k-anonymous) shared chunks, until a fixpoint. Sensitive terms never become
+// refining terms: they must stay in term chunks (the l-diversity mode of
+// Section 5). It runs over a dense term domain: every term id is below
+// nTerms and sensitive is indexed by term id.
 //
 // Each pass orders the forest and evaluates adjacent pairs, but planJoin is a
 // pure function of its two subtrees and surviving nodes are never mutated —
@@ -270,7 +135,7 @@ func sensitiveBitsFor(nodes []*refNode, sensitive map[dataset.Term]bool) ([]bool
 // pairs the sequential greedy scan would have, and the shuffle RNG is only
 // consumed during the ordered commits, so the output is byte-identical for
 // every worker count (and to the always-replan reference path).
-func refineN(nodes []*refNode, k, m int, sensitive []bool, rng *rand.Rand, workers, nTerms int) []*refNode {
+func refineN(leaves []*leafState, k, m int, sensitive []bool, rng *rand.Rand, workers, nTerms int) []*refNode {
 	e := &refineEngine{
 		k: k, m: m, nTerms: nTerms, sensitive: sensitive, workers: workers,
 		memo:     !refineAlwaysReplan,
@@ -281,16 +146,13 @@ func refineN(nodes []*refNode, k, m int, sensitive []bool, rng *rand.Rand, worke
 		workers = 1
 	}
 	e.scratch = make([]*planScratch, workers)
-	for _, n := range nodes {
-		n.initDerived()
-		n.gen = e.nextGen
+	nodes := make([]*refNode, len(leaves))
+	for i, l := range leaves {
+		nodes[i] = newLeafNode(l)
+		nodes[i].gen = e.nextGen
 		e.nextGen++
 	}
 
-	// The caller's slice is reordered (as the pre-incremental engine also
-	// did) but never recycled as a pass buffer: only slices the engine
-	// itself produced ping-pong with outBuf.
-	ownNodes := false
 	for {
 		e.order.order(nodes)
 
@@ -327,11 +189,8 @@ func refineN(nodes []*refNode, k, m int, sensitive []bool, rng *rand.Rand, worke
 		// tail of the reused buffer would otherwise pin their cloned record
 		// sets until the fixpoint ends.
 		clear(e.plansBuf)
-		if ownNodes {
-			e.outBuf = nodes[:0]
-		}
+		e.outBuf = nodes[:0]
 		nodes = out
-		ownNodes = true
 		if !modified {
 			return nodes
 		}
@@ -423,7 +282,7 @@ func (e *refineEngine) planPass(nodes []*refNode) []*joinPlan {
 	return plans
 }
 
-// orderScratch holds the dense state behind orderByTermChunks: the term-chunk
+// orderScratch holds the dense state behind order: the term-chunk
 // supports and ranks live in flat arrays indexed by term id and every buffer
 // is reused across passes.
 type orderScratch struct {
@@ -579,20 +438,6 @@ func (o *orderScratch) rankTerms(touched []dataset.Term) {
 			start[c]++
 		}
 	}
-}
-
-// orderByTermChunks is the standalone form used by tests: it sizes a scratch
-// from the forest and orders through it.
-func orderByTermChunks(nodes []*refNode) {
-	maxT := -1
-	for _, n := range nodes {
-		for _, t := range n.virtTC {
-			if int(t) > maxT {
-				maxT = int(t)
-			}
-		}
-	}
-	newOrderScratch(maxT + 1).order(nodes)
 }
 
 // planScratch is one worker's dense scratch for planJoin: per-term tables
@@ -935,21 +780,6 @@ func cloneRecords(rs []dataset.Record) []dataset.Record {
 		out[i] = flat[start:len(flat):len(flat)]
 	}
 	return out
-}
-
-// tryJoin is the sequential form of planJoin + commit: it evaluates the join
-// criterion and, on success, immediately materializes the joint node.
-func tryJoin(a, b *refNode, k, m int, sensitive map[dataset.Term]bool, rng *rand.Rand) *refNode {
-	a.initDerived()
-	b.initDerived()
-	bits, nTerms := sensitiveBitsFor([]*refNode{a, b}, sensitive)
-	e := &refineEngine{k: k, m: m, nTerms: nTerms, sensitive: bits,
-		scratch: make([]*planScratch, 1)}
-	p := e.planJoin(a, b, e.scratchFor(0))
-	if p == nil {
-		return nil
-	}
-	return p.commit(&e.scratchFor(0).ixs.chunks, rng)
 }
 
 // commit materializes the planned joint node: it builds (and shuffles) the

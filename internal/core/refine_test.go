@@ -9,29 +9,48 @@ import (
 	"disasso/internal/dataset"
 )
 
+// testLeaf runs VERPART over one cluster's records and wraps the result as
+// REFINE's leaf the way RunShard does, with the in-cluster supports lifted
+// out of a cluster index over the records.
+func testLeaf(records []dataset.Record, k, m int, sensitive map[dataset.Term]bool, rng *rand.Rand) *leafState {
+	cl := VerPart(records, k, m, sensitive, rng)
+	return newLeafState(records, cl, buildClusterIndex(records))
+}
+
+// testJoin plans the pair on a one-worker engine over terms below nTerms
+// and commits the plan, as one step of refineN's scan does; it returns nil
+// when the pair does not join.
+func testJoin(a, b *refNode, k, m, nTerms int, rng *rand.Rand) *refNode {
+	e := &refineEngine{k: k, m: m, nTerms: nTerms, sensitive: make([]bool, nTerms),
+		scratch: make([]*planScratch, 1)}
+	p := e.planJoin(a, b, e.scratchFor(0))
+	if p == nil {
+		return nil
+	}
+	return p.commit(&e.scratchFor(0).ixs.chunks, rng)
+}
+
 // figure2Leaves builds the leafStates of the paper's clusters P1 and P2
 // after VERPART, as in Figure 2b.
 func figure2Leaves(t *testing.T) []*leafState {
 	t.Helper()
-	p1 := figure2P1()
-	p2 := figure2P2()
 	return []*leafState{
-		{records: p1, cluster: VerPart(p1, 3, 2, nil, testRNG())},
-		{records: p2, cluster: VerPart(p2, 3, 2, nil, testRNG())},
+		testLeaf(figure2P1(), 3, 2, nil, testRNG()),
+		testLeaf(figure2P2(), 3, 2, nil, testRNG()),
 	}
 }
+
+// figure2Terms bounds the running example's term ids.
+const figure2Terms = int(playboy) + 1
 
 func TestTryJoinFigure3(t *testing.T) {
 	// Joining P1 and P2 must produce the joint cluster of Figure 3: one
 	// shared chunk over {ikea, ruby}, with viagra left in P1's term chunk
 	// and panic disorder + playboy in P2's.
 	leaves := figure2Leaves(t)
-	a := &refNode{leaf: leaves[0]}
-	b := &refNode{leaf: leaves[1]}
-	a.refreshVirtualTC()
-	b.refreshVirtualTC()
+	a, b := newLeafNode(leaves[0]), newLeafNode(leaves[1])
 
-	j := tryJoin(a, b, 3, 2, nil, testRNG())
+	j := testJoin(a, b, 3, 2, figure2Terms, testRNG())
 	if j == nil {
 		t.Fatal("Equation 1 holds ((4+4)/10 ≥ (2+2)/10) but join was rejected")
 	}
@@ -65,19 +84,16 @@ func TestTryJoinFigure3(t *testing.T) {
 }
 
 func TestTryJoinNoCommonTerms(t *testing.T) {
-	mk := func(records []dataset.Record, term dataset.Term) *refNode {
-		cl := VerPart(records, 3, 2, nil, testRNG())
-		n := &refNode{leaf: &leafState{records: records, cluster: cl}}
-		n.refreshVirtualTC()
-		return n
+	mk := func(records []dataset.Record) *refNode {
+		return newLeafNode(testLeaf(records, 3, 2, nil, testRNG()))
 	}
 	a := mk([]dataset.Record{
 		dataset.NewRecord(1, 10), dataset.NewRecord(1), dataset.NewRecord(1), dataset.NewRecord(1),
-	}, 10)
+	})
 	b := mk([]dataset.Record{
 		dataset.NewRecord(2, 20), dataset.NewRecord(2), dataset.NewRecord(2), dataset.NewRecord(2),
-	}, 20)
-	if tryJoin(a, b, 3, 2, nil, testRNG()) != nil {
+	})
+	if testJoin(a, b, 3, 2, 21, testRNG()) != nil {
 		t.Error("join without common term-chunk terms must be rejected")
 	}
 }
@@ -86,10 +102,7 @@ func TestTryJoinInsufficientSupport(t *testing.T) {
 	// Term 9 is in both term chunks but has total support 2 < k=3: no
 	// k^m-anonymous shared chunk can host it, so the join must fail.
 	mk := func(records []dataset.Record) *refNode {
-		cl := VerPart(records, 3, 2, nil, testRNG())
-		n := &refNode{leaf: &leafState{records: records, cluster: cl}}
-		n.refreshVirtualTC()
-		return n
+		return newLeafNode(testLeaf(records, 3, 2, nil, testRNG()))
 	}
 	a := mk([]dataset.Record{
 		dataset.NewRecord(1, 9), dataset.NewRecord(1), dataset.NewRecord(1),
@@ -100,15 +113,13 @@ func TestTryJoinInsufficientSupport(t *testing.T) {
 	if !a.virtTC.Contains(9) || !b.virtTC.Contains(9) {
 		t.Fatal("fixture broken: 9 must be in both term chunks")
 	}
-	if tryJoin(a, b, 3, 2, nil, testRNG()) != nil {
+	if testJoin(a, b, 3, 2, 10, testRNG()) != nil {
 		t.Error("join with only sub-k refining terms must be rejected")
 	}
 }
 
 func TestRefineFigure2EndToEnd(t *testing.T) {
-	leaves := figure2Leaves(t)
-	nodes := []*refNode{{leaf: leaves[0]}, {leaf: leaves[1]}}
-	out := refine(nodes, 3, 2, nil, testRNG(), 1)
+	out := refineN(figure2Leaves(t), 3, 2, make([]bool, figure2Terms), testRNG(), 1, figure2Terms)
 	if len(out) != 1 {
 		t.Fatalf("refine left %d nodes, want 1 joint", len(out))
 	}
@@ -123,18 +134,17 @@ func TestRefineFigure2EndToEnd(t *testing.T) {
 func TestRefineFixpointWithoutJoinableClusters(t *testing.T) {
 	// Clusters with disjoint term chunks never join; refine must terminate
 	// and return them unchanged.
-	var nodes []*refNode
+	var leaves []*leafState
 	for i := 0; i < 4; i++ {
 		base := dataset.Term(i * 100)
-		records := []dataset.Record{
+		leaves = append(leaves, testLeaf([]dataset.Record{
 			dataset.NewRecord(base, base+50),
 			dataset.NewRecord(base),
 			dataset.NewRecord(base),
-		}
-		cl := VerPart(records, 3, 2, nil, testRNG())
-		nodes = append(nodes, &refNode{leaf: &leafState{records: records, cluster: cl}})
+		}, 3, 2, nil, testRNG()))
 	}
-	out := refine(nodes, 3, 2, nil, testRNG(), 1)
+	const nTerms = 351
+	out := refineN(leaves, 3, 2, make([]bool, nTerms), testRNG(), 1, nTerms)
 	if len(out) != 4 {
 		t.Errorf("refine changed the forest: %d nodes", len(out))
 	}
@@ -150,8 +160,7 @@ func TestRefinePropertyOneConflict(t *testing.T) {
 	// and in the term chunks of two others. A shared chunk containing 7
 	// would meet T^r, so it must come out k-anonymous.
 	mkLeaf := func(records []dataset.Record) *refNode {
-		cl := VerPart(records, 3, 2, nil, testRNG())
-		return &refNode{leaf: &leafState{records: records, cluster: cl}}
+		return newLeafNode(testLeaf(records, 3, 2, nil, testRNG()))
 	}
 	// Cluster A: term 7 frequent → record chunk.
 	a := mkLeaf([]dataset.Record{
@@ -168,32 +177,20 @@ func TestRefinePropertyOneConflict(t *testing.T) {
 	b, c := mkBC(), mkBC()
 
 	// First join B and C (term chunks {7,8} each, total support 4 ≥ 3).
-	b.refreshVirtualTC()
-	c.refreshVirtualTC()
-	j := tryJoin(b, c, 3, 2, nil, testRNG())
+	const nTerms = 10
+	j := testJoin(b, c, 3, 2, nTerms, testRNG())
 	if j == nil {
 		t.Fatal("B+C join rejected")
 	}
 	// Now join (B+C) with A: any shared chunk with term 7 conflicts with
 	// A's record chunk.
-	j.refreshVirtualTC()
-	a.refreshVirtualTC()
-	j2 := tryJoin(j, a, 3, 2, nil, testRNG())
+	j2 := testJoin(j, a, 3, 2, nTerms, testRNG())
 	if j2 == nil {
 		t.Skip("second join rejected by Equation 1 — conflict path not exercised")
 	}
-	trSize := max(j.maxNodeTerm(), a.maxNodeTerm()) + 1
-	tr := make([]bool, trSize)
-	j.recordAndSharedDomains(tr)
-	a.recordAndSharedDomains(tr)
+	tr := deriveAggregates(j).trDomains.Union(deriveAggregates(a).trDomains)
 	for _, sc := range j2.shared {
-		meets := false
-		for _, term := range sc.Domain {
-			if tr[term] {
-				meets = true
-			}
-		}
-		if meets && !IsChunkKAnonymous(sc.Domain, sc.Subrecords, 3) {
+		if len(sc.Domain.Intersect(tr)) > 0 && !IsChunkKAnonymous(sc.Domain, sc.Subrecords, 3) {
 			t.Errorf("shared chunk %v meets T^r but is not 3-anonymous", sc.Domain)
 		}
 	}
@@ -206,13 +203,11 @@ func TestTryJoinKeepsChunklessClustersAlive(t *testing.T) {
 	// term, or its records become unreconstructable.
 	x, y := dataset.Term(1), dataset.Term(2)
 	mk := func(records []dataset.Record) *refNode {
-		cl := VerPart(records, 5, 2, nil, testRNG())
-		if len(cl.RecordChunks) != 0 {
+		l := testLeaf(records, 5, 2, nil, testRNG())
+		if len(l.cluster.RecordChunks) != 0 {
 			t.Fatal("fixture broken: expected no record chunks")
 		}
-		n := &refNode{leaf: &leafState{records: records, cluster: cl}}
-		n.refreshVirtualTC()
-		return n
+		return newLeafNode(l)
 	}
 	a := mk([]dataset.Record{
 		dataset.NewRecord(x, y), dataset.NewRecord(x, y), dataset.NewRecord(x),
@@ -220,11 +215,11 @@ func TestTryJoinKeepsChunklessClustersAlive(t *testing.T) {
 	b := mk([]dataset.Record{
 		dataset.NewRecord(x, y), dataset.NewRecord(x, y), dataset.NewRecord(y),
 	})
-	j := tryJoin(a, b, 5, 2, nil, testRNG())
+	j := testJoin(a, b, 5, 2, 3, testRNG())
 	if j == nil {
 		t.Skip("join rejected — Lemma 2 retention path not exercised")
 	}
-	for _, l := range j.leaves(nil) {
+	for _, l := range j.leafList {
 		if len(l.cluster.RecordChunks) == 0 && len(l.cluster.TermChunk) == 0 {
 			t.Fatal("join left a cluster with no chunks and no term chunk")
 		}
@@ -232,16 +227,14 @@ func TestTryJoinKeepsChunklessClustersAlive(t *testing.T) {
 }
 
 func TestOrderByTermChunksGroupsSharers(t *testing.T) {
+	// order reads only the nodes' virtual term chunks.
 	mk := func(termChunk ...dataset.Term) *refNode {
-		cl := &Cluster{Size: 3, TermChunk: dataset.NewRecord(termChunk...)}
-		n := &refNode{leaf: &leafState{cluster: cl}}
-		n.refreshVirtualTC()
-		return n
+		return &refNode{virtTC: dataset.NewRecord(termChunk...)}
 	}
 	// Terms 1 and 2 each appear in two term chunks; nodes sharing them must
 	// become adjacent.
 	nodes := []*refNode{mk(1, 5), mk(3), mk(1, 6), mk(2, 7), mk(2)}
-	orderByTermChunks(nodes)
+	newOrderScratch(8).order(nodes)
 	pos := make(map[dataset.Term][]int)
 	for i, n := range nodes {
 		for _, term := range n.virtTC {
@@ -298,9 +291,10 @@ func TestGreedyDomainsPlacesAllEligible(t *testing.T) {
 	}
 	scr := newPlanScratch(4)
 	scr.totalSup[1], scr.totalSup[2], scr.totalSup[3] = 3, 3, 3
+	ix := buildClusterIndex(records)
 	var placed dataset.Record
 	domains := greedyDomains(dataset.NewRecord(1, 2, 3), scr, func() domainChecker {
-		return newKMChecker(3, 2, records)
+		return newKMCheckerOnIndex(3, 2, ix)
 	}, &placed)
 	if len(placed) != 3 {
 		t.Errorf("placed %d terms, want 3", len(placed))
@@ -327,16 +321,20 @@ func TestLeafStateSupportStrict(t *testing.T) {
 	l.support(1)
 }
 
+// TestLeafStateSupportAfterEnsure: newLeafState lifts the in-cluster
+// supports and the term total out of the cluster index.
 func TestLeafStateSupportAfterEnsure(t *testing.T) {
-	l := &leafState{records: []dataset.Record{
+	records := []dataset.Record{
 		dataset.NewRecord(1, 2), dataset.NewRecord(2),
-	}}
-	l.ensureSupports()
-	if got := l.support(2); got != 2 {
-		t.Errorf("support(2) = %d, want 2", got)
 	}
-	if got := l.support(9); got != 0 {
-		t.Errorf("support(9) = %d, want 0", got)
+	l := newLeafState(records, &Cluster{Size: len(records)}, buildClusterIndex(records))
+	for _, c := range []struct {
+		term dataset.Term
+		want int
+	}{{1, 1}, {2, 2}, {9, 0}} {
+		if got := l.support(c.term); got != c.want {
+			t.Errorf("support(%d) = %d, want %d", c.term, got, c.want)
+		}
 	}
 	if l.termTotal != 3 {
 		t.Errorf("termTotal = %d, want 3", l.termTotal)
@@ -345,9 +343,7 @@ func TestLeafStateSupportAfterEnsure(t *testing.T) {
 
 func TestRefineDeterministic(t *testing.T) {
 	run := func() []*refNode {
-		leaves := figure2Leaves(t)
-		nodes := []*refNode{{leaf: leaves[0]}, {leaf: leaves[1]}}
-		return refine(nodes, 3, 2, nil, rand.New(rand.NewPCG(5, 5)), 1)
+		return refineN(figure2Leaves(t), 3, 2, make([]bool, figure2Terms), rand.New(rand.NewPCG(5, 5)), 1, figure2Terms)
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -358,4 +354,127 @@ func TestRefineDeterministic(t *testing.T) {
 			t.Fatal("node shapes differ between runs")
 		}
 	}
+}
+
+// aggregates are the per-node values REFINE keeps instead of rederiving them
+// every pass.
+type aggregates struct {
+	leafList  []*leafState
+	sz        int
+	virtTC    dataset.Record
+	supTC     []int32
+	trDomains dataset.Record
+}
+
+// deriveAggregates computes a node's aggregates from its subtree alone: its
+// leaves left to right and their total size; the union of their current
+// term chunks, each term's support counted over the records of the leaves
+// whose term chunk holds it; and T^r, the record-chunk domains of its
+// leaves with the shared-chunk domains of its joints.
+func deriveAggregates(n *refNode) aggregates {
+	var a aggregates
+	var walk func(n *refNode)
+	walk = func(n *refNode) {
+		if n.leaf == nil {
+			for _, c := range n.shared {
+				a.trDomains = a.trDomains.Union(c.Domain)
+			}
+			for _, c := range n.children {
+				walk(c)
+			}
+			return
+		}
+		l := n.leaf
+		a.leafList = append(a.leafList, l)
+		a.sz += l.cluster.Size
+		a.virtTC = a.virtTC.Union(l.cluster.TermChunk)
+		for _, c := range l.cluster.RecordChunks {
+			a.trDomains = a.trDomains.Union(c.Domain)
+		}
+	}
+	walk(n)
+	a.supTC = make([]int32, len(a.virtTC))
+	for i, term := range a.virtTC {
+		for _, l := range a.leafList {
+			if !l.cluster.TermChunk.Contains(term) {
+				continue
+			}
+			for _, r := range l.records {
+				if r.Contains(term) {
+					a.supTC[i]++
+				}
+			}
+		}
+	}
+	return a
+}
+
+// TestRefineJointAggregatesMatchDerivation pins the aggregates commit and
+// unionSupSubtract derive from a joint's parents (and newLeafNode from a
+// leaf) to a from-scratch derivation over random VERPART leaves. Every
+// top-level node of the result must match in full. A nested node's leaves,
+// size and T^r never change after it is built, so they must match too;
+// its term-chunk aggregates go stale by design once a later join strips its
+// leaves' term chunks, and no pass reads them again.
+func TestRefineJointAggregatesMatchDerivation(t *testing.T) {
+	const nTerms = 40
+	joints, nested := 0, 0
+	for trial := range 30 {
+		for _, workers := range []int{1, 4} {
+			rng := rand.New(rand.NewPCG(uint64(trial), 0xA66))
+			k, m := 2+rng.IntN(2), 1+rng.IntN(3)
+			sensitive := map[dataset.Term]bool{dataset.Term(rng.IntN(nTerms)): true}
+			bits := make([]bool, nTerms)
+			for term := range sensitive {
+				bits[term] = true
+			}
+			var leaves []*leafState
+			for range 8 + rng.IntN(20) {
+				var records []dataset.Record
+				for range k + rng.IntN(8) {
+					terms := make([]dataset.Term, 1+rng.IntN(6))
+					for j := range terms {
+						// Skewed toward low ids, so term chunks share terms.
+						terms[j] = dataset.Term(rng.IntN(1 + rng.IntN(nTerms)))
+					}
+					records = append(records, dataset.NewRecord(terms...))
+				}
+				leaves = append(leaves, testLeaf(records, k, m, sensitive, rng))
+			}
+			out := refineN(leaves, k, m, bits, rng, workers, nTerms)
+			for i, n := range out {
+				want := deriveAggregates(n)
+				if !slices.Equal(n.leafList, want.leafList) || n.sz != want.sz ||
+					!n.virtTC.Equal(want.virtTC) || !slices.Equal(n.supTC, want.supTC) ||
+					!n.trDomains.Equal(want.trDomains) {
+					t.Fatalf("trial %d workers %d node %d: aggregates (sz %d, virtTC %v, supTC %v, T^r %v), derived (sz %d, virtTC %v, supTC %v, T^r %v)",
+						trial, workers, i, n.sz, n.virtTC, n.supTC, n.trDomains,
+						want.sz, want.virtTC, want.supTC, want.trDomains)
+				}
+				if n.leaf != nil {
+					continue
+				}
+				joints++
+				var walk func(n *refNode)
+				walk = func(n *refNode) {
+					for _, c := range n.children {
+						want := deriveAggregates(c)
+						if !slices.Equal(c.leafList, want.leafList) || c.sz != want.sz || !c.trDomains.Equal(want.trDomains) {
+							t.Fatalf("trial %d workers %d node %d: nested node's leaves, size or T^r (%v) differ from its derivation (%v)",
+								trial, workers, i, c.trDomains, want.trDomains)
+						}
+						if c.leaf == nil {
+							nested++
+							walk(c)
+						}
+					}
+				}
+				walk(n)
+			}
+		}
+	}
+	if joints == 0 || nested == 0 {
+		t.Fatalf("fixture too weak: %d top-level joints, %d nested joints", joints, nested)
+	}
+	t.Logf("%d top-level joints, %d nested joints checked", joints, nested)
 }

@@ -523,21 +523,19 @@ type seqRecord struct {
 // drops the earliest occurrence of the removed record, appends go to the end
 // in their given order. A removal with no occurrence fails the whole delta.
 func applyWithSeq(records []dataset.Record, seq []uint64, removes []dataset.Record, appends []seqRecord) ([]dataset.Record, []uint64, error) {
-	outR := make([]dataset.Record, 0, len(records)-len(removes)+len(appends))
+	// A delta may remove more records than the list holds; it fails below.
+	outR := make([]dataset.Record, 0, max(len(records)-len(removes), 0)+len(appends))
 	outS := make([]uint64, 0, cap(outR))
 	if len(removes) == 0 {
 		outR = append(outR, records...)
 		outS = append(outS, seq...)
 	} else {
-		want := make(map[string]int, len(removes))
-		for _, r := range removes {
-			want[r.Key()]++
-		}
+		want := newRemovals(removes)
 		left := len(removes)
 		for i, r := range records {
 			if left > 0 {
-				if k := r.Key(); want[k] > 0 {
-					want[k]--
+				if j := want.find(r); j >= 0 && want.count[j] > 0 {
+					want.count[j]--
 					left--
 					continue
 				}
@@ -547,7 +545,7 @@ func applyWithSeq(records []dataset.Record, seq []uint64, removes []dataset.Reco
 		}
 		if left > 0 {
 			for _, r := range removes {
-				if want[r.Key()] > 0 {
+				if want.count[want.find(r)] > 0 {
 					return nil, nil, fmt.Errorf("%w: %v", ErrRecordNotFound, r)
 				}
 			}
@@ -558,6 +556,49 @@ func applyWithSeq(records []dataset.Record, seq []uint64, removes []dataset.Reco
 		outS = append(outS, a.seq)
 	}
 	return outR, outS, nil
+}
+
+// removals counts a delta's removals per distinct record. They are bucketed
+// by a hash of their terms and a candidate is confirmed with Record.Equal,
+// so matching a record against them allocates nothing.
+type removals struct {
+	buckets map[uint64][]int32 // term hash -> distinct removals with that hash
+	recs    []dataset.Record   // distinct removals
+	count   []int              // per distinct removal, occurrences not yet matched
+}
+
+func newRemovals(removes []dataset.Record) *removals {
+	rm := &removals{buckets: make(map[uint64][]int32, len(removes))}
+	for _, r := range removes {
+		if j := rm.find(r); j >= 0 {
+			rm.count[j]++
+			continue
+		}
+		h := hashTerms(r)
+		rm.buckets[h] = append(rm.buckets[h], int32(len(rm.recs)))
+		rm.recs = append(rm.recs, r)
+		rm.count = append(rm.count, 1)
+	}
+	return rm
+}
+
+// find returns the index of the distinct removal equal to r, or -1.
+func (rm *removals) find(r dataset.Record) int32 {
+	for _, j := range rm.buckets[hashTerms(r)] {
+		if rm.recs[j].Equal(r) {
+			return j
+		}
+	}
+	return -1
+}
+
+// hashTerms hashes a record's terms: FNV-1a over their 32-bit values.
+func hashTerms(r dataset.Record) uint64 {
+	h := uint64(14695981039346656037)
+	for _, t := range r {
+		h = (h ^ uint64(uint32(t))) * 1099511628211
+	}
+	return h
 }
 
 // samePathSet reports whether two split paths consumed the same terms, in

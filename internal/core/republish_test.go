@@ -229,8 +229,9 @@ func checkShift(t *testing.T, name string, old, next *RepubState, stats Republis
 	return first
 }
 
-// TestDeltaRemoveMissing checks a removal of an absent record fails the whole
-// delta with ErrRecordNotFound and leaves the state usable.
+// TestDeltaRemoveMissing checks a removal of an absent record, or of a
+// present one more times than the dataset holds it, fails the whole delta
+// with ErrRecordNotFound and leaves the state usable.
 func TestDeltaRemoveMissing(t *testing.T) {
 	opts := Options{K: 3, M: 2, MaxClusterSize: 10, MaxShardRecords: 40, Seed: 7, Parallel: 1}
 	d := genDataset(1, 2, 120)
@@ -242,6 +243,13 @@ func TestDeltaRemoveMissing(t *testing.T) {
 	if !errors.Is(err, ErrRecordNotFound) {
 		t.Fatalf("got %v, want ErrRecordNotFound", err)
 	}
+	over := make([]dataset.Record, d.Len()+1)
+	for i := range over {
+		over[i] = d.Records[0]
+	}
+	if _, _, _, err = st.Apply(Delta{Remove: over}); !errors.Is(err, ErrRecordNotFound) {
+		t.Fatalf("removing a record %d times: got %v, want ErrRecordNotFound", len(over), err)
+	}
 	// The old state is untouched and still accepts deltas.
 	anon, _, _, err := st.Apply(Delta{Append: []dataset.Record{dataset.NewRecord(1, 2)}})
 	if err != nil {
@@ -249,6 +257,97 @@ func TestDeltaRemoveMissing(t *testing.T) {
 	}
 	if anon.NumRecords() != d.Len()+1 {
 		t.Errorf("got %d records, want %d", anon.NumRecords(), d.Len()+1)
+	}
+}
+
+// TestApplyWithSeqMatchesLinearScan pins the hashed removal matcher to a
+// naive reference that, for each removal in turn, scans for the earliest
+// occurrence not yet removed. The random bags draw from a handful of
+// distinct records (the empty one among them), so they hold duplicates, and
+// the deltas repeat removals and remove records the bag lacks or holds fewer
+// times. A failed delta must report the same record.
+func TestApplyWithSeqMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0xA991, 0x5E9))
+	randRecord := func(terms int) dataset.Record {
+		r := make([]dataset.Term, rng.IntN(3))
+		for j := range r {
+			r[j] = dataset.Term(rng.IntN(terms))
+		}
+		return dataset.NewRecord(r...)
+	}
+	count := func(rs []dataset.Record, r dataset.Record) int {
+		n := 0
+		for _, q := range rs {
+			if q.Equal(r) {
+				n++
+			}
+		}
+		return n
+	}
+	linear := func(records []dataset.Record, seq []uint64, removes []dataset.Record, appends []seqRecord) ([]dataset.Record, []uint64, error) {
+		gone := make([]bool, len(records))
+		for _, r := range removes {
+			i := 0
+			for i < len(records) && (gone[i] || !records[i].Equal(r)) {
+				i++
+			}
+			if i == len(records) {
+				// The first removal, in delta order, that outnumbers its
+				// occurrences names the failure.
+				for _, q := range removes {
+					if count(removes, q) > count(records, q) {
+						return nil, nil, fmt.Errorf("%w: %v", ErrRecordNotFound, q)
+					}
+				}
+			}
+			gone[i] = true
+		}
+		var outR []dataset.Record
+		var outS []uint64
+		for i, r := range records {
+			if !gone[i] {
+				outR, outS = append(outR, r), append(outS, seq[i])
+			}
+		}
+		for _, a := range appends {
+			outR, outS = append(outR, a.r), append(outS, a.seq)
+		}
+		return outR, outS, nil
+	}
+	failed := 0
+	for trial := range 2000 {
+		records := make([]dataset.Record, rng.IntN(25))
+		seq := make([]uint64, len(records))
+		for i := range records {
+			records[i], seq[i] = randRecord(4), uint64(3*i+1)
+		}
+		var removes []dataset.Record
+		for range rng.IntN(10) {
+			if len(records) > 0 && rng.IntN(3) > 0 {
+				removes = append(removes, records[rng.IntN(len(records))])
+			} else {
+				removes = append(removes, randRecord(6))
+			}
+		}
+		appends := make([]seqRecord, rng.IntN(3))
+		for i := range appends {
+			appends[i] = seqRecord{r: randRecord(4), seq: uint64(3*len(records) + i)}
+		}
+		gotR, gotS, err := applyWithSeq(records, seq, removes, appends)
+		wantR, wantS, wantErr := linear(records, seq, removes, appends)
+		if (err == nil) != (wantErr == nil) || (err != nil && (!errors.Is(err, ErrRecordNotFound) || err.Error() != wantErr.Error())) {
+			t.Fatalf("trial %d: error %v, want %v (records %v, removes %v)", trial, err, wantErr, records, removes)
+		}
+		if err != nil {
+			failed++
+			continue
+		}
+		if !slices.EqualFunc(gotR, wantR, dataset.Record.Equal) || !slices.Equal(gotS, wantS) {
+			t.Fatalf("trial %d: got %v %v, want %v %v (records %v, removes %v)", trial, gotR, gotS, wantR, wantS, records, removes)
+		}
+	}
+	if failed == 0 || failed == 2000 {
+		t.Fatalf("%d of 2000 deltas failed: the fixture must exercise both outcomes", failed)
 	}
 }
 

@@ -10,11 +10,18 @@ import (
 )
 
 // supportCacheOn routes snapshot support estimates through the per-snapshot
-// cache. Tests flip it to run cache-off; building with -tags support_nocache
-// flips the default so the whole suite (including the e2e soak) runs
-// uncached — the same oracle device as internal/query's query_scan and
-// internal/core's refine_replan tags.
+// cache. It is the cache's one off-switch: tests flip it to run cache-off,
+// and building with -tags support_nocache flips the default so the whole
+// suite (including the e2e soak) and every binary run uncached — the same
+// oracle device as internal/query's query_scan and internal/core's
+// refine_replan tags.
 var supportCacheOn = supportCacheOnDefault
+
+// supportCacheEntries bounds each snapshot's cache: small enough to be noise
+// next to the snapshot itself (an entry is ~64 bytes, so ~0.5 MiB per
+// snapshot at worst), large enough to hold the whole hot head of a skewed
+// query mix. Tests lower it to keep eviction churning.
+var supportCacheEntries = 8192
 
 // supportCache memoizes SupportResult-identical estimates for one snapshot.
 // Scoping the cache to the snapshot is what makes invalidation free: a
@@ -54,32 +61,17 @@ type cacheSlot struct {
 	ref bool
 }
 
-const (
-	cacheShards = 16
-	// defaultCacheEntries is the Options.SupportCacheEntries default: small
-	// enough to be noise next to the snapshot itself (an entry is ~64 bytes,
-	// so the default is ~0.5 MiB per snapshot at worst), large enough to
-	// hold the whole hot head of a skewed query mix.
-	defaultCacheEntries = 8192
-)
+const cacheShards = 16
 
-// newSupportCache returns a cache bounded to roughly maxEntries, or nil —
-// the disabled state — when maxEntries ≤ 0. Positive caps below one entry
-// per shard round up to one (an operator asking for a small cache gets a
-// small cache, not a silently disabled one).
-func newSupportCache(maxEntries int) *supportCache {
-	if maxEntries <= 0 {
-		return nil
-	}
+// newSupportCache returns an empty cache bounded to roughly
+// supportCacheEntries, at least one entry per shard.
+func newSupportCache() *supportCache {
 	c := &supportCache{
 		seed:   maphash.MakeSeed(),
 		shards: make([]cacheShard, cacheShards),
 		mask:   cacheShards - 1,
 	}
-	per := maxEntries / cacheShards
-	if per < 1 {
-		per = 1
-	}
+	per := max(supportCacheEntries/cacheShards, 1)
 	for i := range c.shards {
 		c.shards[i].max = per
 		c.shards[i].m = make(map[string]int, per)
@@ -155,11 +147,11 @@ func (c *supportCache) len() int {
 	return n
 }
 
-// support answers one itemset through the snapshot's cache (when present
-// and enabled), falling back to the immutable estimator. The itemset must
-// be normalized.
+// support answers one itemset through the snapshot's cache (unless
+// supportCacheOn is off), falling back to the immutable estimator. The
+// itemset must be normalized.
 func (sn *snapshot) support(itemset dataset.Record) query.Estimate {
-	if sn.cache == nil || !supportCacheOn {
+	if !supportCacheOn {
 		return sn.est.Support(itemset)
 	}
 	key := cacheKey(itemset)

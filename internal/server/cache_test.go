@@ -20,9 +20,9 @@ import (
 // cache is kept tiny so the op stream churns it through constant eviction,
 // and every query is re-asked to force hit-path answers.
 func TestSupportCacheTransparent(t *testing.T) {
-	old := supportCacheOn
+	old, oldEntries := supportCacheOn, supportCacheEntries
 	supportCacheOn = true
-	defer func() { supportCacheOn = old }()
+	defer func() { supportCacheOn, supportCacheEntries = old, oldEntries }()
 
 	configs := []struct {
 		seed               uint64
@@ -52,10 +52,8 @@ func TestSupportCacheTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn := newSnapshot("t", a, nil, nil, core.Options{}, cfg.cacheEntries)
-		if sn.cache == nil {
-			t.Fatalf("config %d: cache not built for %d entries", ci, cfg.cacheEntries)
-		}
+		supportCacheEntries = cfg.cacheEntries
+		sn := newSnapshot("t", a, nil, nil, core.Options{})
 		uncached := query.NewEstimator(a)
 		for mi, mix := range mixes {
 			spec, err := load.ParseSpec(mix)
@@ -90,24 +88,22 @@ func TestSupportCacheTransparent(t *testing.T) {
 	}
 }
 
-// TestSupportCacheDisabled: the hook and the nil cache both bypass cleanly.
+// TestSupportCacheDisabled: with supportCacheOn off, every estimate
+// bypasses the cache; a bound below one entry per shard rounds up to one.
 func TestSupportCacheDisabled(t *testing.T) {
 	a, itemsets := cacheBenchPublication(t, 200, 40)
-	// Non-positive caps mean "no cache at all"...
-	for _, entries := range []int{-1, 0} {
-		if sn := newSnapshot("t", a, nil, nil, core.Options{}, entries); sn.cache != nil {
-			t.Errorf("newSnapshot(cacheEntries=%d) built a cache", entries)
+	old, oldEntries := supportCacheOn, supportCacheEntries
+	defer func() { supportCacheOn, supportCacheEntries = old, oldEntries }()
+	supportCacheEntries = cacheShards - 1
+	c := newSupportCache()
+	for i := range c.shards {
+		if c.shards[i].max != 1 {
+			t.Errorf("bound %d: shard %d holds %d entries, want 1", supportCacheEntries, i, c.shards[i].max)
 		}
 	}
-	// ...while a small positive cap rounds up to one entry per shard
-	// rather than silently disabling.
-	if sn := newSnapshot("t", a, nil, nil, core.Options{}, cacheShards-1); sn.cache == nil {
-		t.Errorf("newSnapshot(cacheEntries=%d) disabled the cache", cacheShards-1)
-	}
-	sn := newSnapshot("t", a, nil, nil, core.Options{}, 1024)
-	old := supportCacheOn
+	supportCacheEntries = 1024
+	sn := newSnapshot("t", a, nil, nil, core.Options{})
 	supportCacheOn = false
-	defer func() { supportCacheOn = old }()
 	for _, s := range itemsets {
 		sn.support(s)
 	}
@@ -122,12 +118,12 @@ func TestSupportCacheDisabled(t *testing.T) {
 // proof, and every answer must still be bit-identical to the uncached
 // estimator.
 func TestSupportCacheConcurrent(t *testing.T) {
-	old := supportCacheOn
-	supportCacheOn = true
-	defer func() { supportCacheOn = old }()
+	old, oldEntries := supportCacheOn, supportCacheEntries
+	supportCacheOn, supportCacheEntries = true, 64
+	defer func() { supportCacheOn, supportCacheEntries = old, oldEntries }()
 
 	a, _ := cacheBenchPublication(t, 400, 80)
-	sn := newSnapshot("t", a, nil, nil, core.Options{}, 64)
+	sn := newSnapshot("t", a, nil, nil, core.Options{})
 	uncached := query.NewEstimator(a)
 	spec, err := load.ParseSpec("singleton weight=2 zipf=1.2\nitemset weight=1 min=2 max=3")
 	if err != nil {
@@ -199,13 +195,14 @@ func cacheBenchPublication(tb testing.TB, n, domain int) (*core.Anonymized, []da
 
 // BenchmarkServedSupportCached / Uncached measure the snapshot-level
 // difference the cache makes on a Zipf repeat-heavy mix (the HTTP-level
-// counterpart is cmd/loadbench's cache on/off run in CI's bench job).
+// counterpart is CI's pair of loadbench runs, the second built with
+// -tags support_nocache).
 func BenchmarkServedSupportCached(b *testing.B) {
 	old := supportCacheOn
 	supportCacheOn = true
 	defer func() { supportCacheOn = old }()
 	a, itemsets := cacheBenchPublication(b, 2000, 300)
-	sn := newSnapshot("b", a, nil, nil, core.Options{}, defaultCacheEntries)
+	sn := newSnapshot("b", a, nil, nil, core.Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -218,7 +215,7 @@ func BenchmarkServedSupportUncached(b *testing.B) {
 	supportCacheOn = false
 	defer func() { supportCacheOn = old }()
 	a, itemsets := cacheBenchPublication(b, 2000, 300)
-	sn := newSnapshot("b", a, nil, nil, core.Options{}, defaultCacheEntries)
+	sn := newSnapshot("b", a, nil, nil, core.Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -219,7 +219,7 @@ func (s *Server) Recover() (RecoveryReport, error) {
 func (s *Server) snapshotFromFile(f *snapfile.Snapshot) *snapshot {
 	meta := f.Meta()
 	return &snapshot{
-		cache: newSupportCache(s.opts.SupportCacheEntries),
+		cache: newSupportCache(),
 		audit: newAuditCell(),
 		info: DatasetInfo{
 			Name: meta.Name, K: meta.K, M: meta.M,

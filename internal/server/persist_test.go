@@ -224,7 +224,7 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	text, _ := testDataset(t, 21, 200, 30, 5)
 	srv1 := New(Options{DataDir: dir})
 	ts1 := httptest.NewServer(srv1)
-	for _, name := range []string{"good", "hurt", "old", "bare"} {
+	for _, name := range []string{"good", "hurt", "old", "bare", "torn"} {
 		do(t, ts1.Client(), "POST", ts1.URL+"/v1/datasets/"+name+"?k=3&m=2", text, http.StatusCreated, nil)
 	}
 	ts1.Close()
@@ -232,7 +232,8 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	// A torn write the crash left behind, a bit-rotted snapshot, a healthy
 	// snapshot stamped with format version 1 (which has no reader), a
 	// healthy snapshot without an original section (as streamed publishes
-	// of older releases wrote them), a foreign file.
+	// of older releases wrote them), a snapshot cut short inside its last
+	// section, a foreign file.
 	tmpPath := filepath.Join(dir, "half-1234.tmp")
 	if err := os.WriteFile(tmpPath, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
@@ -271,6 +272,23 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	if err := os.WriteFile(bare, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The section table follows the 16-byte header, whose bytes 8–11 count
+	// its 24-byte entries: id, CRC, then the section's offset and length.
+	torn := filepath.Join(dir, "torn.snap")
+	raw, err = os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut uint64
+	for i := range binary.LittleEndian.Uint32(raw[8:]) {
+		entry := raw[16+24*i:]
+		if off, length := binary.LittleEndian.Uint64(entry[8:]), binary.LittleEndian.Uint64(entry[16:]); length > 1 && off+length/2 > cut {
+			cut = off + length/2
+		}
+	}
+	if err := os.WriteFile(torn, raw[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +301,8 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	if len(rep.Loaded) != 1 || rep.Loaded[0] != "good" {
 		t.Fatalf("loaded = %v, want [good]", rep.Loaded)
 	}
-	if len(rep.Skipped) != 5 {
-		t.Fatalf("skipped = %+v, want 5 entries", rep.Skipped)
+	if len(rep.Skipped) != 6 {
+		t.Fatalf("skipped = %+v, want 6 entries", rep.Skipped)
 	}
 	reasons := map[string]string{}
 	for _, sk := range rep.Skipped {
@@ -302,14 +320,18 @@ func TestRecoverySkipsDamage(t *testing.T) {
 	if r := reasons["bare.snap"]; !strings.Contains(r, "no original records") || !strings.Contains(r, "republish") {
 		t.Errorf("original-less skip reason = %q", r)
 	}
+	if r := reasons["torn.snap"]; !strings.Contains(r, "overruns the file") {
+		t.Errorf("truncated skip reason = %q", r)
+	}
 	if r := reasons["notes.txt"]; !strings.Contains(r, "not a snapshot") {
 		t.Errorf("foreign skip reason = %q", r)
 	}
 	if _, err := os.Stat(tmpPath); !errors.Is(err, os.ErrNotExist) {
 		t.Error("leftover temp file was not removed")
 	}
-	// The damaged, old-version and original-less artifacts stay on disk.
-	for _, path := range []string{hurt, old, bare} {
+	// The damaged, old-version, original-less and truncated artifacts stay
+	// on disk.
+	for _, path := range []string{hurt, old, bare, torn} {
 		if _, err := os.Stat(path); err != nil {
 			t.Errorf("skipped snapshot file was removed: %v", err)
 		}
@@ -555,11 +577,14 @@ func BenchmarkColdServe(b *testing.B) {
 		itemsets[i] = dataset.NewRecord(benchTerms(rng, 300)...)
 	}
 	for _, cfg := range []struct {
-		name    string
-		entries int
-	}{{"cached", 0}, {"uncached", -1}} {
+		name string
+		on   bool
+	}{{"cached", true}, {"uncached", false}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			s := New(Options{DataDir: dir, SupportCacheEntries: cfg.entries})
+			old := supportCacheOn
+			supportCacheOn = cfg.on
+			defer func() { supportCacheOn = old }()
+			s := New(Options{DataDir: dir})
 			if _, err := s.Recover(); err != nil {
 				b.Fatal(err)
 			}

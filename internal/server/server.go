@@ -46,11 +46,6 @@ type Options struct {
 	// MaxReconstructions caps the samples of one reconstruction request;
 	// 0 means 16.
 	MaxReconstructions int
-	// SupportCacheEntries bounds the per-snapshot support cache (see
-	// cache.go): 0 means the default (8192 entries), negative disables
-	// caching. Each published snapshot gets its own cache, so a republish
-	// invalidates by the same pointer swap that installs the new snapshot.
-	SupportCacheEntries int
 	// DataDir, when non-empty, makes publications durable: every publish,
 	// append, remove writes a snapshot file (atomic temp+rename, see
 	// persist.go) under this directory, delete removes it, and Recover
@@ -279,9 +274,6 @@ func New(opts Options) *Server {
 	}
 	if opts.MaxReconstructions <= 0 {
 		opts.MaxReconstructions = defaultMaxRecon
-	}
-	if opts.SupportCacheEntries == 0 {
-		opts.SupportCacheEntries = defaultCacheEntries
 	}
 	s := &Server{
 		opts:      opts,
@@ -550,7 +542,7 @@ func (s *Server) publish(name string, body io.Reader, opts core.Options, stream 
 	if err != nil {
 		return nil, err
 	}
-	sn := newSnapshot(name, a, st, d, opts, s.opts.SupportCacheEntries)
+	sn := newSnapshot(name, a, st, d, opts)
 	if stream {
 		sn.state = nil
 		sn.info.Streamed = true
@@ -565,7 +557,7 @@ func (s *Server) publish(name string, body io.Reader, opts core.Options, stream 
 // info reports the state's effective shard cut. The summary and the
 // estimator only read the publication, so they are built side by side when
 // a second processor can run one.
-func newSnapshot(name string, a *core.Anonymized, st *core.RepubState, original *dataset.Dataset, opts core.Options, cacheEntries int) *snapshot {
+func newSnapshot(name string, a *core.Anonymized, st *core.RepubState, original *dataset.Dataset, opts core.Options) *snapshot {
 	var sum core.Summary
 	var est *query.Estimator
 	par.Do(runtime.GOMAXPROCS(0), 2, func(i int) {
@@ -576,7 +568,7 @@ func newSnapshot(name string, a *core.Anonymized, st *core.RepubState, original 
 		}
 	})
 	sn := &snapshot{
-		cache: newSupportCache(cacheEntries),
+		cache: newSupportCache(),
 		audit: newAuditCell(),
 		info: DatasetInfo{
 			Name: name, K: a.K, M: a.M,
@@ -691,7 +683,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, remove bool
 		return
 	}
 
-	next := newSnapshot(name, a, st, dataset.FromRecords(st.Records()), sn.opts, s.opts.SupportCacheEntries)
+	next := newSnapshot(name, a, st, dataset.FromRecords(st.Records()), sn.opts)
 	next.info.Version = sn.info.Version + 1
 	next.info.Streamed = sn.info.Streamed
 

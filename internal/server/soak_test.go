@@ -64,7 +64,10 @@ func TestServerSoakUnderChurn(t *testing.T) {
 	}
 
 	// A small cache cap keeps eviction churning during the soak.
-	srv := httptest.NewServer(New(Options{SupportCacheEntries: 64}))
+	oldEntries := supportCacheEntries
+	supportCacheEntries = 64
+	defer func() { supportCacheEntries = oldEntries }()
+	srv := httptest.NewServer(New(Options{}))
 	defer srv.Close()
 	base := srv.URL + "/v1/datasets/soak"
 	do(t, srv.Client(), "POST", base+"?k=3&m=2&seed=1&shardrecords=60", body, http.StatusCreated, nil)

@@ -402,7 +402,8 @@ func ReadJSON(r io.Reader) (*Anonymized, error) { return core.ReadJSON(r) }
 // binary format (roughly 8× smaller than JSON on large publications).
 func WriteBinary(w io.Writer, a *Anonymized) error { return core.WriteBinary(w, a) }
 
-// ReadBinary parses a dataset written by WriteBinary.
+// ReadBinary parses a dataset written by WriteBinary. It reads all of r into
+// memory before it decodes anything.
 func ReadBinary(r io.Reader) (*Anonymized, error) { return core.ReadBinary(r) }
 
 // QuestConfig parameterizes the bundled IBM Quest market-basket generator.

@@ -16,9 +16,12 @@ import (
 // and the repaired publication must audit clean while still passing the
 // independent k^m verifier.
 func FuzzBreachDetector(f *testing.F) {
-	f.Add([]byte{2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3})
+	f.Add([]byte{2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3}) // k = 4 and 4 records: skips
 	f.Add([]byte{3, 3, 9, 9, 9, 9, 8, 8, 8, 7, 7, 6, 5, 4, 3, 2, 1, 0, 0, 1, 9, 9})
 	f.Add([]byte{4, 0, 5, 5, 5, 5, 5, 5, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3})
+	// k = 2 and 10 records over terms 1–5: two clusters holding five
+	// breaches, so the oracle cross-check and the repair both run.
+	f.Add([]byte{0, 2, 1, 1, 2, 2, 1, 2, 3, 1, 1, 3, 1, 2, 3, 1, 1, 2, 2, 3, 4, 5, 1, 4, 5, 1, 3, 4, 0, 5, 2, 1, 4, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			t.Skip()

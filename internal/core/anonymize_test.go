@@ -207,27 +207,6 @@ func TestLowerBoundSupports(t *testing.T) {
 	}
 }
 
-func TestLowerBoundItemsetSupport(t *testing.T) {
-	d := dataset.FromRecords(figure2Records())
-	a, err := Anonymize(d, Options{K: 3, M: 2, MaxClusterSize: 6, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pairs inside one chunk keep exact support; any pair's bound must not
-	// exceed the original support.
-	pairs := [][2]dataset.Term{
-		{itunes, flu}, {madonna, flu}, {audiA4, sonyTV}, {ikea, ruby}, {itunes, viagra},
-	}
-	for _, p := range pairs {
-		s := dataset.NewRecord(p[0], p[1])
-		lb := a.LowerBoundItemsetSupport(s)
-		orig := d.SupportOf(s)
-		if lb > orig {
-			t.Errorf("pair %v: lower bound %d > original %d", s, lb, orig)
-		}
-	}
-}
-
 // Property: on random datasets the pipeline must always produce output whose
 // chunks pass the exhaustive anonymity checks and whose structure accounts
 // for every record and term. (The independent verifier package re-checks

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -162,5 +165,207 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	buf.Write([]byte{2, 1, 0}) // term chunk: len 2, first 1, gap 0 (invalid)
 	if _, err := ReadBinary(&buf); err == nil {
 		t.Error("zero-gap record accepted")
+	}
+}
+
+// allocatedBytes returns the fewest heap bytes one call of f allocated over
+// a few calls; the minimum drops what other goroutines allocate meanwhile.
+func allocatedBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestDecodeBinaryAllocationBound decodes crafted inputs, each declaring far
+// more than it holds or packing the most decoded bytes into the fewest input
+// bytes, and checks DecodeBinary's stated bound: slabs of at most 30 bytes
+// per input byte, which the allocator rounds up by at most a quarter (a
+// large allocation to whole 8 KiB pages), plus 1 KiB for the result header
+// and an error. An input the first pass rejects allocates only its error.
+func TestDecodeBinaryAllocationBound(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	header := func(clusters uint64) []byte { return append([]byte(binaryMagic), uv(3, 2, clusters)...) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	leaf := uv(0, 1, 0, 0) // the smallest leaf: size 1, no chunks, empty term chunk
+
+	// chain nests depth joints, each of a leaf and the next joint.
+	chain := func(depth int) []byte {
+		b := header(1)
+		for range depth {
+			b = append(b, uv(1, 2)...)
+			b = append(b, leaf...)
+		}
+		b = append(b, leaf...)
+		return append(b, bytes.Repeat(uv(0), depth)...) // no shared chunks
+	}
+	var real bytes.Buffer
+	if err := WriteBinary(&real, fuzzSeedPublication(t)); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		in   []byte
+		ok   bool
+	}{
+		{"2^28 clusters, then the end", header(1 << 28), false},
+		{"2^20 chunks, then the end", cat(header(1), uv(0, 5, 1<<20)), false},
+		{"2^26 subrecords, then the end", cat(header(1), uv(0, 5, 1, 1, 7, 1<<26)), false},
+		{"2^22-term record, then the end", cat(header(1), uv(0, 5, 0, 1<<22)), false},
+		{"record cut short", cat(header(1), uv(0, 5, 0, 4, 1, 1)), false},
+		{"joint tags nested 2000 deep, then the end", cat(header(1), bytes.Repeat(uv(1, 2), 2000)), false},
+		{"joints nested past the depth bound", chain(maxNodeDepth + 1), false},
+		{"joints nested 5000 deep", chain(5000), true},
+		{"100,000 smallest leaves", cat(header(100_000), bytes.Repeat(leaf, 100_000)), true},
+		{"800 smallest leaves", cat(header(800), bytes.Repeat(leaf, 800)), true},
+		{"one chunk of 50,000 empty subrecords", cat(header(1), uv(0, 5, 1, 0, 50_000), make([]byte, 50_000), uv(0)), true},
+		{"a publication", real.Bytes(), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var err error
+			got := allocatedBytes(func() { _, err = DecodeBinary(c.in) })
+			if (err == nil) != c.ok {
+				t.Fatalf("accepted = %v, want %v (err %v)", err == nil, c.ok, err)
+			}
+			limit := uint64(30*len(c.in)*5/4 + 1024)
+			if !c.ok {
+				limit = 1024
+			}
+			if got > limit {
+				t.Errorf("%d input bytes allocated %d bytes, over the bound of %d", len(c.in), got, limit)
+			}
+		})
+	}
+}
+
+// TestDecodeBinaryListsOwnTheirCapacity appends to every list of a decoded
+// publication — each record, subrecord list, chunk list and child list —
+// and re-encodes it: the bytes must not change, so no append reached into
+// a neighbouring list of the same slab.
+func TestDecodeBinaryListsOwnTheirCapacity(t *testing.T) {
+	enc := jointPublication(t)
+	back, err := DecodeBinary(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lists, joints int
+	grow := func(r dataset.Record) {
+		_ = append(r, math.MaxInt32)
+		lists++
+	}
+	growChunks := func(cs []Chunk) {
+		for _, c := range cs {
+			grow(c.Domain)
+			for _, sr := range c.Subrecords {
+				grow(sr)
+			}
+			_ = append(c.Subrecords, dataset.Record{math.MaxInt32})
+		}
+		_ = append(cs, Chunk{Domain: dataset.Record{math.MaxInt32}})
+	}
+	_ = append(back.Clusters, &ClusterNode{})
+	for _, root := range back.Clusters {
+		root.Walk(func(n *ClusterNode) {
+			if n.IsLeaf() {
+				growChunks(n.Simple.RecordChunks)
+				grow(n.Simple.TermChunk)
+				return
+			}
+			joints++
+			_ = append(n.Children, &ClusterNode{})
+			growChunks(n.SharedChunks)
+		})
+	}
+	if joints == 0 {
+		t.Fatal("the fixture has no joint clusters")
+	}
+	var again bytes.Buffer
+	if err := WriteBinary(&again, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), enc) {
+		t.Fatalf("appending to the decoded lists changed the publication (%d records grown)", lists)
+	}
+}
+
+// jointPublication encodes a 3,000-record Quest publication whose forest
+// has joint clusters, so every slab of the decoder is in use.
+func jointPublication(t *testing.T) []byte {
+	t.Helper()
+	cfg := quest.DefaultConfig()
+	cfg.NumTransactions, cfg.DomainSize, cfg.Seed = 3_000, 500, 1
+	g, err := quest.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Anonymize(g.Generate(), Options{K: 5, M: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := WriteBinary(&enc, a); err != nil {
+		t.Fatal(err)
+	}
+	return enc.Bytes()
+}
+
+// TestDecodeBinaryPassTwoStaysInItsSlabs runs pass 2 over bytes that hold
+// one element more, or one fewer, of each kind than pass 1 counted, as when
+// a mapped file is written in place between the passes: pass 2 must return
+// errPassesDisagree, never write past a slab or leave one partly filled.
+func TestDecodeBinaryPassTwoStaysInItsSlabs(t *testing.T) {
+	enc := jointPublication(t)
+	d := binaryDecoder{buf: enc, off: len(binaryMagic)}
+	for range 2 { // k, m
+		if _, err := d.uvarint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count, err := d.count(maxClusters, "cluster count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := d.off
+	for range count {
+		if err := d.scanNode(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end, counted := d.off, d.n
+	kinds := map[string]func(*binaryDecoder) *uint64{
+		"nodes":      func(d *binaryDecoder) *uint64 { return &d.n.nodes },
+		"leaves":     func(d *binaryDecoder) *uint64 { return &d.n.leaves },
+		"pointers":   func(d *binaryDecoder) *uint64 { return &d.n.ptrs },
+		"chunks":     func(d *binaryDecoder) *uint64 { return &d.n.chunks },
+		"subrecords": func(d *binaryDecoder) *uint64 { return &d.n.records },
+		"terms":      func(d *binaryDecoder) *uint64 { return &d.n.terms },
+	}
+	for kind, field := range kinds {
+		if *field(&d) == 0 {
+			t.Fatalf("the fixture has no %s", kind)
+		}
+		for _, delta := range []int{-1, 1} {
+			p := binaryDecoder{buf: enc, off: start, n: counted}
+			*field(&p) += uint64(delta)
+			if _, err := p.fill(count, end); !errors.Is(err, errPassesDisagree) {
+				t.Errorf("%s counted %+d: pass 2 returned %v, want errPassesDisagree", kind, delta, err)
+			}
+		}
+	}
+	p := binaryDecoder{buf: enc, off: start, n: counted}
+	if _, err := p.fill(count, end); err != nil {
+		t.Fatalf("pass 2 on the counted bytes: %v", err)
 	}
 }

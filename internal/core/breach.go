@@ -162,8 +162,8 @@ func (s *breachSrc) overlaps(o *breachSrc) bool {
 // the cluster's node; larger breaching itemsets always contain a breaching
 // pair, so reporting pairs is complete.
 type Breach struct {
-	// Cluster is the top-level cluster index (set by BreachesOf; -1 when the
-	// breach was detected on a bare node).
+	// Cluster is the top-level cluster index (set by breach.Audit; -1 when
+	// the breach was detected on a bare node).
 	Cluster     int          `json:"cluster"`
 	Where       string       `json:"where"`
 	AnchorWhere string       `json:"anchorWhere"`
@@ -272,21 +272,6 @@ func NodeBreaches(n *ClusterNode, k int) []Breach {
 	for i, s := range sites {
 		out[i] = s.Breach
 		out[i].Where, out[i].AnchorWhere = srcs[s.src].where(), srcs[s.anchor].where()
-	}
-	return out
-}
-
-// BreachesOf audits every top-level cluster of a publication, tagging each
-// breach with its cluster index. Clusters are independent (no slot range
-// spans two top-level nodes), so the audit is exactly the concatenation of
-// per-node detections.
-func BreachesOf(a *Anonymized) []Breach {
-	var out []Breach
-	for i, n := range a.Clusters {
-		for _, b := range NodeBreaches(n, a.K) {
-			b.Cluster = i
-			out = append(out, b)
-		}
 	}
 	return out
 }

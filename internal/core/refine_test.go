@@ -155,44 +155,54 @@ func TestRefineFixpointWithoutJoinableClusters(t *testing.T) {
 	}
 }
 
+// TestRefinePropertyOneConflict drives Property 1's k-anonymous case
+// through planJoin and commit. Terms 7 and 8 sit in a record chunk of leaf A
+// and in the term chunks of leaves B and C. Joining A with B over term 1
+// leaves 7 and 8 in the joint's virtual term chunk and puts them in its T^r;
+// joining that joint with C then refines 7 and 8, so every shared chunk over
+// them meets T^r and must be k-anonymous, not only k^m-anonymous. Over the
+// masked records {7}×3, {8}×3 and {7,8} one chunk {7, 8} would break that
+// ({7,8} occurs once), so the check must split them.
 func TestRefinePropertyOneConflict(t *testing.T) {
-	// Term 7 sits in the record chunk of one cluster (support ≥ k there)
-	// and in the term chunks of two others. A shared chunk containing 7
-	// would meet T^r, so it must come out k-anonymous.
-	mkLeaf := func(records []dataset.Record) *refNode {
-		return newLeafNode(testLeaf(records, 3, 2, nil, testRNG()))
+	const k, m, nTerms = 3, 2, 10
+	r := dataset.NewRecord
+	mkLeaf := func(records ...dataset.Record) *refNode {
+		return newLeafNode(testLeaf(records, k, m, nil, testRNG()))
 	}
-	// Cluster A: term 7 frequent → record chunk.
-	a := mkLeaf([]dataset.Record{
-		dataset.NewRecord(7, 1), dataset.NewRecord(7, 1), dataset.NewRecord(7, 1),
-		dataset.NewRecord(7), dataset.NewRecord(9),
-	})
-	// Clusters B and C: term 7 and 8 infrequent → term chunks {7, 8}.
-	mkBC := func() *refNode {
-		return mkLeaf([]dataset.Record{
-			dataset.NewRecord(7, 8), dataset.NewRecord(7, 8), dataset.NewRecord(5),
-			dataset.NewRecord(5), dataset.NewRecord(5),
-		})
+	// A: 7 and 8 frequent → record chunk {7, 8}; 1 and 9 in its term chunk.
+	a := mkLeaf(r(7, 8, 1), r(7, 8, 1), r(7, 8), r(7, 9), r(8))
+	// B: 1, 4, 7 and 8 infrequent → term chunk; 5 → record chunk.
+	b := mkLeaf(r(1, 7), r(1, 7), r(5, 8), r(5, 8), r(5, 4))
+	// C: 2, 7 and 8 infrequent → term chunk; 6 → record chunk.
+	c := mkLeaf(r(6, 7, 8), r(6, 7), r(6, 8), r(2), r(6))
+	if !a.trDomains.Contains(7) || !a.trDomains.Contains(8) ||
+		!b.virtTC.Contains(7) || !b.virtTC.Contains(8) || !c.virtTC.Contains(7) || !c.virtTC.Contains(8) {
+		t.Fatalf("fixture broken: A's T^r %v, B's term chunk %v, C's term chunk %v", a.trDomains, b.virtTC, c.virtTC)
 	}
-	b, c := mkBC(), mkBC()
 
-	// First join B and C (term chunks {7,8} each, total support 4 ≥ 3).
-	const nTerms = 10
-	j := testJoin(b, c, 3, 2, nTerms, testRNG())
+	// A+B refines term 1 only ((2+2)/10 ≥ (1+1)/10).
+	ab := testJoin(a, b, k, m, nTerms, testRNG())
+	if ab == nil {
+		t.Fatal("A+B join rejected")
+	}
+	// (A+B)+C refines 7 and 8 ((4+4)/15 ≥ (2+2)/10), both in T^r via A.
+	j := testJoin(ab, c, k, m, nTerms, testRNG())
 	if j == nil {
-		t.Fatal("B+C join rejected")
+		t.Fatal("(A+B)+C join rejected")
 	}
-	// Now join (B+C) with A: any shared chunk with term 7 conflicts with
-	// A's record chunk.
-	j2 := testJoin(j, a, 3, 2, nTerms, testRNG())
-	if j2 == nil {
-		t.Skip("second join rejected by Equation 1 — conflict path not exercised")
-	}
-	tr := deriveAggregates(j).trDomains.Union(deriveAggregates(a).trDomains)
-	for _, sc := range j2.shared {
-		if len(sc.Domain.Intersect(tr)) > 0 && !IsChunkKAnonymous(sc.Domain, sc.Subrecords, 3) {
-			t.Errorf("shared chunk %v meets T^r but is not 3-anonymous", sc.Domain)
+	tr := deriveAggregates(ab).trDomains.Union(deriveAggregates(c).trDomains)
+	met := 0
+	for _, sc := range j.shared {
+		if len(sc.Domain.Intersect(tr)) == 0 {
+			continue
 		}
+		met++
+		if !IsChunkKAnonymous(sc.Domain, sc.Subrecords, k) {
+			t.Errorf("shared chunk %v meets T^r but is not %d-anonymous: %v", sc.Domain, k, sc.Subrecords)
+		}
+	}
+	if met != 2 {
+		t.Errorf("%d shared chunks meet T^r, want 2 ({7} and {8}): %v", met, j.shared)
 	}
 }
 

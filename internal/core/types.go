@@ -179,27 +179,6 @@ func (a *Anonymized) LowerBoundSupports() map[dataset.Term]int {
 	return out
 }
 
-// LowerBoundItemsetSupport returns the support of the itemset that is
-// guaranteed in any reconstruction: its appearances inside single chunks
-// (subrecord-contained), plus — for single terms only — term-chunk presence.
-func (a *Anonymized) LowerBoundItemsetSupport(s dataset.Record) int {
-	if len(s) == 1 {
-		return a.LowerBoundSupports()[s[0]]
-	}
-	total := 0
-	for _, c := range a.AllChunks() {
-		if !c.Domain.ContainsAll(s) {
-			continue
-		}
-		for _, sr := range c.Subrecords {
-			if sr.ContainsAll(s) {
-				total++
-			}
-		}
-	}
-	return total
-}
-
 // Domain returns the sorted set of all terms appearing anywhere in the
 // anonymized dataset (record chunks, shared chunks and term chunks). By
 // construction this equals the original dataset's domain: disassociation

@@ -143,29 +143,6 @@ func (r Record) Clone() Record {
 	return slices.Clone(r)
 }
 
-// Jaccard returns the Jaccard similarity |r ∩ other| / |r ∪ other| of two
-// normalized records; two empty records have similarity 1.
-func (r Record) Jaccard(other Record) float64 {
-	if len(r) == 0 && len(other) == 0 {
-		return 1
-	}
-	inter := 0
-	i, j := 0, 0
-	for i < len(r) && j < len(other) {
-		switch {
-		case r[i] < other[j]:
-			i++
-		case r[i] > other[j]:
-			j++
-		default:
-			inter++
-			i, j = i+1, j+1
-		}
-	}
-	union := len(r) + len(other) - inter
-	return float64(inter) / float64(union)
-}
-
 // Key returns a compact string form of the record usable as a map key. Two
 // normalized records have equal keys iff they are Equal.
 func (r Record) Key() string {

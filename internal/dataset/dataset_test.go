@@ -101,27 +101,6 @@ func TestRecordSetOps(t *testing.T) {
 	}
 }
 
-func TestRecordJaccard(t *testing.T) {
-	tests := []struct {
-		a, b Record
-		want float64
-	}{
-		{NewRecord(), NewRecord(), 1},
-		{NewRecord(1), NewRecord(), 0},
-		{NewRecord(1, 2), NewRecord(1, 2), 1},
-		{NewRecord(1, 2), NewRecord(3, 4), 0},
-		{NewRecord(1, 2, 3), NewRecord(2, 3, 4), 0.5},
-	}
-	for _, tc := range tests {
-		if got := tc.a.Jaccard(tc.b); got != tc.want {
-			t.Errorf("Jaccard(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-		if got := tc.b.Jaccard(tc.a); got != tc.want {
-			t.Errorf("Jaccard not symmetric on (%v, %v)", tc.a, tc.b)
-		}
-	}
-}
-
 func TestRecordKeyUniqueness(t *testing.T) {
 	a := NewRecord(1, 23)
 	b := NewRecord(12, 3)

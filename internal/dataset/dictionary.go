@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Dictionary maps external term strings (query strings, product names) to the
 // compact Term IDs used internally, and back. IDs are assigned densely in
@@ -63,13 +60,4 @@ func (d *Dictionary) InternRecord(names ...string) Record {
 		terms[i] = d.Intern(n)
 	}
 	return NewRecord(terms...)
-}
-
-// SortedNames returns all interned names in lexicographic order; useful for
-// deterministic test output.
-func (d *Dictionary) SortedNames() []string {
-	out := make([]string, len(d.byID))
-	copy(out, d.byID)
-	sort.Strings(out)
-	return out
 }

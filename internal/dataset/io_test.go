@@ -102,8 +102,4 @@ func TestDictionary(t *testing.T) {
 	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
 		t.Errorf("Names = %v", names)
 	}
-	sorted := d.SortedNames()
-	if len(sorted) != 2 || sorted[0] != "alpha" {
-		t.Errorf("SortedNames = %v", sorted)
-	}
 }

@@ -11,12 +11,14 @@ import (
 // Delta-varint record framing: each record is a uvarint length followed by
 // its terms, the first absolute (as its uint32 bit pattern, so negative input
 // terms survive) and every subsequent term as the gap to its predecessor —
-// always ≥ 1 for a normalized record. AppendRecord and DecodeRecordTerms are
-// the one codec of that layout: the streaming engine's spill files frame it
-// standalone (BinaryRecordWriter/BinaryRecordReader), so records can be
-// written and re-read one by one with bounded memory, a RecordSlab holds it
-// in memory, and the published binary format (internal/core) embeds it for
-// every chunk record.
+// always ≥ 1 for a normalized record. AppendRecord and its two decoders,
+// DecodeRecordTerms over a reader and FillRecordTerms over a byte slice
+// (which share nextTerm's term rules), are the one codec of that layout: the
+// streaming engine's spill files frame it standalone
+// (BinaryRecordWriter/BinaryRecordReader), so records can be written and
+// re-read one by one with bounded memory, a RecordSlab holds it in memory,
+// and the published binary format (internal/core) embeds it for every chunk
+// record.
 
 // AppendRecord appends the encoding of one normalized record to dst — its
 // length, then its delta-encoded terms — and returns the extended slice.
@@ -49,25 +51,76 @@ func DecodeRecordTerms(get func() (uint64, error), n uint64, dst Record) (Record
 			}
 			return nil, fmt.Errorf("record term %d: %w", i, err)
 		}
-		// The first term is a uint32 bit pattern and a gap between int32
-		// terms spans at most the uint32 range, so one bound covers both;
-		// the sum is then checked in 64 bits.
-		if v > 1<<32-1 {
-			return nil, fmt.Errorf("record term %d: %d overflows 32 bits", i, v)
+		next, ok := nextTerm(i, v, cur)
+		if !ok {
+			return nil, termError(i, v, cur)
 		}
-		switch {
-		case i == 0:
-			cur = int64(int32(uint32(v)))
-		case v == 0:
-			return nil, errors.New("zero gap: record not strictly increasing")
-		default:
-			if cur += int64(v); cur > 1<<31-1 {
-				return nil, fmt.Errorf("term %d overflows", cur)
-			}
-		}
+		cur = next
 		dst = append(dst, Term(cur))
 	}
 	return dst, nil
+}
+
+// FillRecordTerms is DecodeRecordTerms over a byte slice: it decodes the
+// len(dst) delta-encoded terms at the front of src into dst and returns the
+// number of bytes they took. The caller has read the record's length and
+// bounded it. A src that ends inside the terms surfaces as
+// io.ErrUnexpectedEOF.
+func FillRecordTerms(dst Record, src []byte) (int, error) {
+	var cur int64
+	off := 0
+	for i := range dst {
+		var v uint64
+		if off < len(src) && src[off] < 0x80 {
+			v = uint64(src[off])
+			off++
+		} else {
+			var n int
+			if v, n = binary.Uvarint(src[off:]); n <= 0 {
+				err := io.ErrUnexpectedEOF
+				if n < 0 {
+					err = errors.New("varint overflows 64 bits")
+				}
+				return 0, fmt.Errorf("record term %d: %w", i, err)
+			}
+			off += n
+		}
+		next, ok := nextTerm(uint64(i), v, cur)
+		if !ok {
+			return 0, termError(uint64(i), v, cur)
+		}
+		cur = next
+		dst[i] = Term(cur)
+	}
+	return off, nil
+}
+
+// nextTerm applies the codec's term rules to v, the i-th varint of a record
+// whose previous term is prev, and returns the term; ok is false when v
+// breaks a rule, and termError says which. The first term is a uint32 bit
+// pattern and a gap between int32 terms spans at most the uint32 range, so
+// one bound covers both; the sum is then checked in 64 bits.
+func nextTerm(i, v uint64, prev int64) (term int64, ok bool) {
+	if v > 1<<32-1 {
+		return 0, false
+	}
+	if i == 0 {
+		return int64(int32(uint32(v))), true
+	}
+	term = prev + int64(v)
+	return term, v != 0 && term <= 1<<31-1
+}
+
+// termError describes the rule that nextTerm(i, v, prev) found broken.
+func termError(i, v uint64, prev int64) error {
+	switch {
+	case v > 1<<32-1:
+		return fmt.Errorf("record term %d: %d overflows 32 bits", i, v)
+	case v == 0:
+		return errors.New("zero gap: record not strictly increasing")
+	default:
+		return fmt.Errorf("term %d overflows", prev+int64(v))
+	}
 }
 
 // RecordSlab holds records back to back in the codec's layout, each

@@ -95,7 +95,7 @@ func TestCoverKnowledgeOnRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	breaches := core.BreachesOf(plain)
+	breaches := breachesOf(plain)
 	if len(breaches) == 0 {
 		t.Fatal("dense publication has no breaches; the adversarial sweep would be vacuous")
 	}
@@ -105,7 +105,7 @@ func TestCoverKnowledgeOnRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if left := core.BreachesOf(repaired); len(left) != 0 {
+	if left := breachesOf(repaired); len(left) != 0 {
 		t.Fatalf("repair left %d breaches", len(left))
 	}
 	for _, b := range breaches {
@@ -166,4 +166,15 @@ func TestAssignSharedInfeasibleFallsBack(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Errorf("fallback produced an invalid dataset: %v", err)
 	}
+}
+
+// breachesOf audits every top-level cluster of a publication. Clusters are
+// independent (no slot range spans two top-level nodes), so the audit is the
+// concatenation of per-node detections.
+func breachesOf(a *core.Anonymized) []core.Breach {
+	var out []core.Breach
+	for _, n := range a.Clusters {
+		out = append(out, core.NodeBreaches(n, a.K)...)
+	}
+	return out
 }

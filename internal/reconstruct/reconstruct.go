@@ -257,57 +257,3 @@ func assignChunk(slots []dataset.Record, subrecords []dataset.Record, rng *rand.
 		slots[slot] = slots[slot].Union(sr)
 	}
 }
-
-// Conflicts counts, for diagnostics, how many shared subrecords of the given
-// anonymized dataset have no conflict-free slot at all (every slot's leaf
-// record-chunk domains intersect them). The anonymizer's own output has zero
-// such subrecords; hand-built inputs may not.
-func Conflicts(a *core.Anonymized) int {
-	conflicts := 0
-	for _, node := range a.Clusters {
-		leaves := node.Leaves(nil)
-		total := 0
-		for _, l := range leaves {
-			total += l.Size
-		}
-		slotDomain := make([]dataset.Record, total)
-		off := 0
-		for _, leaf := range leaves {
-			var domUnion dataset.Record
-			for _, c := range leaf.RecordChunks {
-				domUnion = domUnion.Union(c.Domain)
-			}
-			for i := off; i < off+leaf.Size; i++ {
-				slotDomain[i] = domUnion
-			}
-			off += leaf.Size
-		}
-		var walk func(n *core.ClusterNode, lo int) int
-		walk = func(n *core.ClusterNode, lo int) int {
-			if n.IsLeaf() {
-				return n.Simple.Size
-			}
-			covered := 0
-			for _, child := range n.Children {
-				covered += walk(child, lo+covered)
-			}
-			for _, c := range n.SharedChunks {
-				for _, sr := range c.Subrecords {
-					ok := false
-					for i := lo; i < lo+covered; i++ {
-						if len(sr.Intersect(slotDomain[i])) == 0 {
-							ok = true
-							break
-						}
-					}
-					if !ok {
-						conflicts++
-					}
-				}
-			}
-			return covered
-		}
-		walk(node, 0)
-	}
-	return conflicts
-}

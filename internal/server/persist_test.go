@@ -500,26 +500,29 @@ func TestWriteJSONErrors(t *testing.T) {
 	}
 }
 
-// benchPersistedDir publishes one dataset into a fresh data directory and
-// returns it, for the cold-start benchmarks.
+// benchPersistedDir publishes the given number of random records (1–8
+// terms over 300 ids), cut into 256-record shards, into a fresh data
+// directory for the cold-start benchmarks. It returns the directory, the
+// options and the records' text.
 func benchPersistedDir(b *testing.B, records int) (string, core.Options, string) {
 	b.Helper()
-	dir := b.TempDir()
 	rng := rand.New(rand.NewPCG(55, 0xC01D))
-	var text strings.Builder
-	for i := 0; i < records; i++ {
-		r := dataset.NewRecord(benchTerms(rng, 300)...)
-		for j, t := range r {
-			if j > 0 {
-				text.WriteByte(' ')
-			}
-			fmt.Fprintf(&text, "%d", t)
-		}
-		text.WriteByte('\n')
+	rs := make([]dataset.Record, records)
+	for i := range rs {
+		rs[i] = dataset.NewRecord(benchTerms(rng, 300)...)
 	}
+	text := renderRecords(rs)
 	opts := core.Options{K: 4, M: 2, Seed: 5, MaxShardRecords: 256}
+	return persistBench(b, text, opts), opts, text
+}
+
+// persistBench publishes text as dataset "bench" into a fresh data
+// directory and returns the directory.
+func persistBench(b *testing.B, text string, opts core.Options) string {
+	b.Helper()
+	dir := b.TempDir()
 	s := New(Options{DataDir: dir})
-	sn, err := s.publish("bench", strings.NewReader(text.String()), opts, false, 0)
+	sn, err := s.publish("bench", strings.NewReader(text), opts, false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -527,7 +530,7 @@ func benchPersistedDir(b *testing.B, records int) (string, core.Options, string)
 	if err := s.persist(sn); err != nil {
 		b.Fatal(err)
 	}
-	return dir, opts, text.String()
+	return dir
 }
 
 func benchTerms(rng *rand.Rand, domain int) []dataset.Term {
@@ -540,21 +543,30 @@ func benchTerms(rng *rand.Rand, domain int) []dataset.Term {
 
 // BenchmarkColdStart compares the two ways a restarted server can get a
 // dataset serving again: recovering the persisted snapshot (mmap + CRC +
-// slab views, no anonymization) versus rebuilding it from the original
-// records (anonymize + index + estimator). The ratio is the point of the
-// snapshot store.
+// slab views + forest decode, no anonymization) versus rebuilding it from
+// the original records (anonymize + index + estimator). The ratio is the
+// point of the snapshot store. recover and rebuild run over
+// benchPersistedDir's 4,000 records in 256-record shards; recover-global
+// recovers the restart the end-to-end benchmark's publish workload pays per
+// dataset: liveRecords' 20k Quest records published as one global shard,
+// whose forest decode dominates.
 func BenchmarkColdStart(b *testing.B) {
 	dir, opts, text := benchPersistedDir(b, 4000)
-	b.Run("recover", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := New(Options{DataDir: dir})
-			rep, err := s.Recover()
-			if err != nil || len(rep.Loaded) != 1 {
-				b.Fatalf("recover: %v, %+v", err, rep)
+	published, _ := liveRecords(b)
+	globalDir := persistBench(b, renderRecords(published), core.Options{K: 5, M: 2, Seed: 1})
+	recoverFrom := func(dir string) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := New(Options{DataDir: dir})
+				rep, err := s.Recover()
+				if err != nil || len(rep.Loaded) != 1 {
+					b.Fatalf("recover: %v, %+v", err, rep)
+				}
 			}
 		}
-	})
+	}
+	b.Run("recover", recoverFrom(dir))
 	b.Run("rebuild", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -564,6 +576,7 @@ func BenchmarkColdStart(b *testing.B) {
 			}
 		}
 	})
+	b.Run("recover-global", recoverFrom(globalDir))
 }
 
 // BenchmarkColdServe measures serve-from-disk support latency on a freshly

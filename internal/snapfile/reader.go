@@ -198,7 +198,7 @@ func parse(data []byte, mapped bool) (*Snapshot, error) {
 	if s.meta.Records < 0 {
 		return nil, fmt.Errorf("meta section: negative record count %d", s.meta.Records)
 	}
-	forest, err := core.ReadBinary(bytes.NewReader(secs[secForest]))
+	forest, err := core.DecodeBinary(secs[secForest])
 	if err != nil {
 		return nil, fmt.Errorf("forest section: %w", err)
 	}

@@ -202,21 +202,22 @@ func RunShard(records []dataset.Record, path []dataset.Term, index int, dom *dat
 		published[i] = exportNode(n)
 	}
 	if opts.SafeDisassociation {
-		// Repair runs per top-level node, sequentially, with a PRNG keyed by
+		// Top-level nodes repair concurrently, each with a PRNG keyed by
 		// (Seed, shard, node) — the same discipline as every other pass, so
-		// full runs, streamed shards and delta republishes all repair
-		// identically. exportNode shares each leaf's *Cluster with its
-		// leafState, which still holds the original records the repair needs
-		// for merges and re-disclosure.
+		// full runs, streamed shards and delta republishes repair identically
+		// at any worker count. A node's repair mutates only its own subtree
+		// and leaves; the originals map is only read. exportNode shares each
+		// leaf's *Cluster with its leafState, which still holds the original
+		// records the repair needs for merges and re-disclosure.
 		orig := make(map[*Cluster][]dataset.Record, len(leaves))
 		for _, l := range leaves {
 			orig[l.cluster] = l.records
 		}
 		lookup := func(cl *Cluster) []dataset.Record { return orig[cl] }
-		for i, p := range published {
+		par.Do(opts.Parallel, len(published), func(i int) {
 			rng := rand.New(rand.NewPCG(opts.Seed, 0x5AFED15^(shardIdx<<32|uint64(i))))
-			repairNode(p, lookup, opts.K, opts.M, rng)
-		}
+			repairNode(published[i], lookup, opts.K, opts.M, rng)
+		})
 	}
 	for _, n := range published {
 		restoreNode(n, dom)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 
 	"disasso/internal/dataset"
 )
@@ -88,11 +89,40 @@ func appendChunk(dst []byte, c Chunk) []byte {
 // ReadBinary parses a publication written by WriteBinary. It reads all of r
 // before it decodes anything, then decodes with DecodeBinary.
 func ReadBinary(r io.Reader) (*Anonymized, error) {
-	b, err := io.ReadAll(r)
+	b, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: binary: %w", err)
 	}
 	return DecodeBinary(b)
+}
+
+// readAll reads r to its end. A regular file (a reader with Stat) is read, as
+// os.ReadFile does, into one buffer sized from its length, with a byte to
+// spare for the read that meets the end; any other reader grows its buffer
+// step by step through io.ReadAll.
+func readAll(r io.Reader) ([]byte, error) {
+	f, ok := r.(interface{ Stat() (fs.FileInfo, error) })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() || int64(int(fi.Size())) != fi.Size() {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, 0, int(fi.Size())+1)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // the file grew since Stat
+		}
+	}
 }
 
 // Decoding limits. Each caps a count read from the input before the elements

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -166,6 +169,65 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(&buf); err == nil {
 		t.Error("zero-gap record accepted")
 	}
+}
+
+// TestReadBinaryFileAllocatesOnce reads a forest file through ReadBinary and
+// checks that it allocates what DecodeBinary allocates on the same bytes plus
+// one buffer, sized from the file's length, and the FileInfo its Stat
+// returns: the buffer never grows step by step.
+func TestReadBinaryFileAllocatesOnce(t *testing.T) {
+	qcfg := quest.DefaultConfig()
+	qcfg.NumTransactions, qcfg.DomainSize, qcfg.Seed = 2_000, 1_000, 1
+	g, err := quest.New(qcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Anonymize(g.Generate(), Options{K: 5, M: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "forest.bin")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var got *Anonymized
+	read := func() {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = ReadBinary(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if read(); !reflect.DeepEqual(got, a) {
+		t.Fatal("the file decodes to another publication")
+	}
+	decode := func() {
+		if _, err := DecodeBinary(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readAllocs, decodeAllocs := testing.AllocsPerRun(5, read), testing.AllocsPerRun(5, decode)
+	if readAllocs > decodeAllocs+2 {
+		t.Errorf("ReadBinary on a %d-byte file: %.0f allocations, DecodeBinary %.0f; want at most 2 more", len(data), readAllocs, decodeAllocs)
+	}
+	// The one buffer is len(data)+1 bytes, which a large allocation rounds up
+	// to whole 8 KiB pages; 1 KiB covers the FileInfo.
+	readBytes, decodeBytes := allocatedBytes(read), allocatedBytes(decode)
+	if limit := decodeBytes + uint64(len(data)) + 8<<10 + 1<<10; readBytes > limit {
+		t.Errorf("ReadBinary on a %d-byte file: %d bytes, DecodeBinary %d; want at most %d", len(data), readBytes, decodeBytes, limit)
+	}
+	t.Logf("%d-byte file: ReadBinary %.0f allocations and %d bytes, DecodeBinary %.0f and %d", len(data), readAllocs, readBytes, decodeAllocs, decodeBytes)
 }
 
 // allocatedBytes returns the fewest heap bytes one call of f allocated over

@@ -114,16 +114,21 @@ func nodeSources(dst []breachSrc, n *ClusterNode, leafIdx, lo, size int) []breac
 		})
 	}
 	if len(cl.TermChunk) > 0 {
-		sup := make([]int, len(cl.TermChunk))
-		for i := range sup {
-			sup[i] = 1
-		}
-		dst = append(dst, breachSrc{
-			kind: srcTermChunk, leaf: cl, leafIdx: leafIdx, lo: lo, n: size,
-			terms: cl.TermChunk, sup: sup,
-		})
+		dst = append(dst, termChunkSource(cl, leafIdx, lo, size))
 	}
 	return dst
+}
+
+// termChunkSource is the source of leaf cl's term chunk: support 1 per term.
+func termChunkSource(cl *Cluster, leafIdx, lo, size int) breachSrc {
+	sup := make([]int, len(cl.TermChunk))
+	for i := range sup {
+		sup[i] = 1
+	}
+	return breachSrc{
+		kind: srcTermChunk, leaf: cl, leafIdx: leafIdx, lo: lo, n: size,
+		terms: cl.TermChunk, sup: sup,
+	}
 }
 
 // collectSources enumerates the association sources of one top-level node in

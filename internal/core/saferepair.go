@@ -150,6 +150,15 @@ type repairState struct {
 	// shared holds every term some shared chunk of the node carries. Repair
 	// never adds a shared-chunk term, so the set only shrinks.
 	shared dataset.Record
+	// holders lists, per term of shared, the groups a shared demotion of the
+	// term touches, ascending: the joints whose shared chunks carry it and
+	// the leaves whose original records hold it. Term t's groups are
+	// holders[holderOff[t]:holderOff[t+1]]. It is built on the node's first
+	// shared demotion and stays exact for every term still in shared:
+	// originals never change, and a shared term leaves the shared chunks
+	// only all at once, by its own demotion.
+	holderOff []int32
+	holders   []int32
 }
 
 // repairGroup is one tree node of the repaired node with the sources it owns.
@@ -161,8 +170,6 @@ type repairGroup struct {
 	lo, n   int // covered slot range [lo, lo+n)
 	srcs    []breachSrc
 	heavy   []heavyTerm // the terms with k·s > n: the only ones that can breach
-	orig    dataset.Record
-	hasOrig bool // orig holds a leaf's original terms, collected on first use
 }
 
 // heavyTerm addresses terms[term] of srcs[src] within its group.
@@ -304,10 +311,9 @@ func (st *repairState) findAnchor(gi, si int, a dataset.Term, s int) (ag, asrc, 
 }
 
 // demote is demoteTerm on the repair state. It makes the same change, but
-// answers "is a shared anywhere?" from the shared-term set and "do the
-// leaf's originals hold a?" from the leaf's original terms, and it
-// refreshes only the groups it changed: the demoting leaf, the joints a is
-// stripped from and the leaves a is re-disclosed to.
+// answers "is a shared anywhere?" from the shared-term set, and it visits
+// only the groups the change touches: the demoting leaf, then a's holders —
+// the joints a is stripped from and the leaves a may be re-disclosed to.
 func (st *repairState) demote(gi, si int, a dataset.Term) {
 	g := &st.groups[gi]
 	l := &g.srcs[si]
@@ -320,19 +326,97 @@ func (st *repairState) demote(gi, si int, a dataset.Term) {
 	if !needShared {
 		return
 	}
-	st.shared = st.shared.Subtract(dataset.Record{a})
-	for hi := range st.groups {
+	if st.holderOff == nil {
+		st.indexHolders()
+	}
+	if checkSharedDemotion != nil {
+		checkSharedDemotion(st, a)
+	}
+	i, _ := slices.BinarySearch(st.shared, a)
+	st.shared = slices.Delete(st.shared, i, i+1)
+	for _, hi := range st.holdersOf(a) {
 		h := &st.groups[hi]
 		if !h.node.IsLeaf() {
-			st.stripShared(hi, a)
-			continue
-		}
-		cl := h.node.Simple
-		if !publishesTerm(cl, a) && st.origTerms(hi).Contains(a) {
-			cl.TermChunk = insertTerm(cl.TermChunk, a)
-			st.refreshLeaf(hi)
+			st.stripShared(int(hi), a)
+		} else if !publishesTerm(h.node.Simple, a) {
+			st.disclose(int(hi), a)
 		}
 	}
+}
+
+// checkSharedDemotion, when set, sees the repair state before every shared
+// demotion, with the holder index built and the term a still shared. Tests
+// use it to hold the index to a scan of every group; it is nil otherwise.
+var checkSharedDemotion func(st *repairState, a dataset.Term)
+
+// holdersOf returns the holder groups of a, a term of st.shared.
+func (st *repairState) holdersOf(a dataset.Term) []int32 {
+	return st.holders[st.holderOff[a]:st.holderOff[a+1]]
+}
+
+// indexHolders builds the holder index over the terms of st.shared in one
+// walk of the groups: every (term, group) pair is collected once, in group
+// order, then scattered into per-term runs by a counting sort, which keeps
+// each run ascending. Terms are the shard's dense ids, so st.shared's last
+// term bounds the tables.
+func (st *repairState) indexHolders() {
+	span := int(st.shared[len(st.shared)-1]) + 1
+	// seen[t] is 0 for a term outside st.shared and otherwise one more than
+	// the last group that listed t, so a group lists each term once.
+	seen := make([]int32, span)
+	for _, t := range st.shared {
+		seen[t] = -1
+	}
+	off := make([]int32, span+1)
+	type pair struct{ t, g int32 }
+	var pairs []pair
+	add := func(r dataset.Record, gi int32) {
+		for _, t := range r {
+			if int(t) < span && seen[t] != 0 && seen[t] != gi+1 {
+				seen[t] = gi + 1
+				off[t+1]++
+				pairs = append(pairs, pair{int32(t), gi})
+			}
+		}
+	}
+	for gi := range st.groups {
+		n := st.groups[gi].node
+		if !n.IsLeaf() {
+			for ci := range n.SharedChunks {
+				add(n.SharedChunks[ci].Domain, int32(gi))
+			}
+			continue
+		}
+		for _, r := range st.originals(n.Simple) {
+			add(r, int32(gi))
+		}
+	}
+	for t := 1; t <= span; t++ {
+		off[t] += off[t-1]
+	}
+	st.holders = make([]int32, len(pairs))
+	next := seen // reused: the write position of each term's run
+	copy(next, off[:span])
+	for _, p := range pairs {
+		st.holders[next[p.t]] = p.g
+		next[p.t]++
+	}
+	st.holderOff = off
+}
+
+// disclose re-discloses a in leaf group gi's term chunk. Its record chunks
+// are unchanged, so only the term-chunk source is updated, not recounted.
+func (st *repairState) disclose(gi int, a dataset.Term) {
+	g := &st.groups[gi]
+	cl := g.node.Simple
+	cl.TermChunk = insertTerm(cl.TermChunk, a)
+	if last := len(g.srcs) - 1; last >= 0 && g.srcs[last].kind == srcTermChunk {
+		src := &g.srcs[last]
+		src.terms, src.sup = cl.TermChunk, append(src.sup, 1)
+	} else {
+		g.srcs = append(g.srcs, termChunkSource(cl, g.leafIdx, g.lo, g.n))
+	}
+	st.findHeavy(gi)
 }
 
 // stripShared removes a from the shared chunks of joint group gi, dropping
@@ -340,37 +424,22 @@ func (st *repairState) demote(gi, si int, a dataset.Term) {
 // it was, so each affected source just loses one support entry.
 func (st *repairState) stripShared(gi int, a dataset.Term) {
 	g := &st.groups[gi]
-	var changed bool
-	if g.node.SharedChunks, changed = stripChunks(g.node.SharedChunks, a); !changed {
-		return
-	}
-	srcs := g.srcs[:0]
-	for _, src := range g.srcs {
+	// A joint's sources are its shared chunks, one each and in order, so one
+	// walk strips the chunks and their sources together.
+	chunks, srcs := g.node.SharedChunks[:0], g.srcs[:0]
+	for ci, src := range g.srcs {
+		c := g.node.SharedChunks[ci]
 		if i, ok := slices.BinarySearch(src.terms, a); ok {
-			if len(src.terms) == 1 {
+			if stripChunkTerm(&c, a) {
 				continue // the chunk emptied and is gone
 			}
 			src.sup = slices.Delete(src.sup, i, i+1)
 		}
-		src.chunk = len(srcs)
-		src.terms = g.node.SharedChunks[src.chunk].Domain
-		srcs = append(srcs, src)
+		src.chunk, src.terms = len(chunks), c.Domain
+		chunks, srcs = append(chunks, c), append(srcs, src)
 	}
-	g.srcs = srcs
+	g.node.SharedChunks, g.srcs = chunks, srcs
 	st.findHeavy(gi)
-}
-
-// origTerms returns leaf group gi's original terms, collected on first use.
-func (st *repairState) origTerms(gi int) dataset.Record {
-	g := &st.groups[gi]
-	if !g.hasOrig {
-		var terms []dataset.Term
-		for _, r := range st.originals(g.node.Simple) {
-			terms = append(terms, r...)
-		}
-		g.orig, g.hasOrig = dataset.NewRecord(terms...), true
-	}
-	return g.orig
 }
 
 // repairNodeRescan is the reference repair loop: every step rebuilds every

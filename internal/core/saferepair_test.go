@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -65,26 +66,12 @@ func assertTracksRescan(t *testing.T, st *repairState, root *ClusterNode) bool {
 	return true
 }
 
-// TestRepairStateTracksRescan holds the incremental repair to the rescan
-// before every step of every node it repairs, on Quest data (unsharded
-// nodes of up to 75 leaves, and sharded) and on small dense datasets.
-// Byte-equal final forests can hide a stale source whose effect washes out;
-// this cannot.
-func TestRepairStateTracksRescan(t *testing.T) {
-	defer UseSafeRepairRescan(false)()
-	// The shards of a plan repair concurrently, so the hook runs on several
-	// goroutines at once.
-	var mu sync.Mutex
-	breached := 0
-	checkRepairStep = func(st *repairState, root *ClusterNode) {
-		mu.Lock()
-		defer mu.Unlock()
-		if assertTracksRescan(t, st, root) {
-			breached++
-		}
-	}
-	defer func() { checkRepairStep = nil }()
-
+// repairSweep publishes, with SafeDisassociation on, the inputs the repair
+// state is checked on: 2k Quest records at each of the given shard cuts (0
+// is one unsharded shard, whose nodes grow to 75 leaves) and six small dense
+// datasets at k = 2–4.
+func repairSweep(t *testing.T, cuts ...int) {
+	t.Helper()
 	qcfg := quest.DefaultConfig()
 	qcfg.NumTransactions, qcfg.DomainSize, qcfg.Seed = 2_000, 2_000, 1
 	g, err := quest.New(qcfg)
@@ -92,7 +79,7 @@ func TestRepairStateTracksRescan(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := g.Generate()
-	for _, shard := range []int{0, 400} {
+	for _, shard := range cuts {
 		opts := Options{K: 5, M: 2, Seed: 3, MaxShardRecords: shard, SafeDisassociation: true}
 		if _, err := Anonymize(q, opts); err != nil {
 			t.Fatalf("quest shard=%d: %v", shard, err)
@@ -104,10 +91,79 @@ func TestRepairStateTracksRescan(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
+}
+
+// TestRepairStateTracksRescan holds the incremental repair to the rescan
+// before every step of every node it repairs, on Quest data (unsharded
+// nodes of up to 75 leaves, and sharded) and on small dense datasets.
+// Byte-equal final forests can hide a stale source whose effect washes out;
+// this cannot.
+func TestRepairStateTracksRescan(t *testing.T) {
+	defer UseSafeRepairRescan(false)()
+	// Shards, and the top-level nodes within one, repair concurrently, so
+	// the hook runs on several goroutines at once.
+	var mu sync.Mutex
+	breached := 0
+	checkRepairStep = func(st *repairState, root *ClusterNode) {
+		mu.Lock()
+		defer mu.Unlock()
+		if assertTracksRescan(t, st, root) {
+			breached++
+		}
+	}
+	defer func() { checkRepairStep = nil }()
+	repairSweep(t, 0, 400)
 	if breached == 0 {
 		t.Fatal("no step repaired a breach; the lockstep check is vacuous")
 	}
 	t.Logf("%d repair steps checked against the rescan", breached)
+}
+
+// TestRepairHoldersMatchScan holds the holder index to a scan of every group
+// before every shared demotion: the demoted term's holders must be exactly
+// the joints whose shared chunks carry it and the leaves whose original
+// records hold it, in group order. A missing joint would leave the term in a
+// shared chunk, a missing leaf would lose a re-disclosure.
+func TestRepairHoldersMatchScan(t *testing.T) {
+	defer UseSafeRepairRescan(false)()
+	var mu sync.Mutex
+	demotions, leafHolders := 0, 0
+	checkSharedDemotion = func(st *repairState, a dataset.Term) {
+		var want []int32
+		leaves := 0
+		for gi := range st.groups {
+			n := st.groups[gi].node
+			holds := false
+			if n.IsLeaf() {
+				for _, r := range st.originals(n.Simple) {
+					holds = holds || r.Contains(a)
+				}
+				if holds {
+					leaves++
+				}
+			} else {
+				for ci := range n.SharedChunks {
+					holds = holds || n.SharedChunks[ci].Domain.Contains(a)
+				}
+			}
+			if holds {
+				want = append(want, int32(gi))
+			}
+		}
+		if got := st.holdersOf(a); !slices.Equal(got, want) {
+			t.Errorf("term %d: the index lists groups %v, a scan finds %v", a, got, want)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		demotions++
+		leafHolders += leaves
+	}
+	defer func() { checkSharedDemotion = nil }()
+	repairSweep(t, 0)
+	if demotions == 0 || leafHolders == 0 {
+		t.Fatalf("%d shared demotions with %d leaf holders; the check is vacuous", demotions, leafHolders)
+	}
+	t.Logf("%d shared demotions checked, %d leaf holders", demotions, leafHolders)
 }
 
 // TestRepairNextBreaksTiesLikeRescan pins the tie the generated data rarely

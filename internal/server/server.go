@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"regexp"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -54,7 +55,7 @@ type Options struct {
 	// historical behavior.
 	DataDir string
 	// Logf receives server-side log lines (snapshot persistence problems,
-	// response-encoding bugs). nil means log.Printf.
+	// response-encoding bugs, handler panics). nil means log.Printf.
 	Logf func(format string, args ...any)
 }
 
@@ -297,9 +298,59 @@ func New(opts Options) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. A handler panic — a worker's re-raised
+// by par too — is logged with its route, value and stack. While no header
+// has gone out it answers 500 with the error document; after that the
+// response cannot be repaired, so ServeHTTP aborts it with
+// http.ErrAbortHandler and the client sees a cut response, not a status.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	tw := &trackedWriter{ResponseWriter: w}
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		if v == http.ErrAbortHandler {
+			panic(v)
+		}
+		route := r.Pattern
+		if route == "" {
+			route = r.Method + " " + r.URL.Path
+		}
+		s.logf("disassod: panic serving %s (%s): %v\n%s", route, r.URL.Path, v, debug.Stack())
+		if tw.wroteHeader {
+			panic(http.ErrAbortHandler)
+		}
+		s.writeError(tw, http.StatusInternalServerError, "internal error serving %s", route)
+	}()
+	s.mux.ServeHTTP(tw, r)
+}
+
+// trackedWriter records whether a response's header has gone out, which
+// decides how ServeHTTP answers a handler panic.
+type trackedWriter struct {
+	http.ResponseWriter
+	wroteHeader bool
+}
+
+func (w *trackedWriter) WriteHeader(status int) {
+	w.wroteHeader = true
+	w.ResponseWriter.WriteHeader(status)
+}
+
+func (w *trackedWriter) Write(b []byte) (int, error) {
+	w.wroteHeader = true
+	return w.ResponseWriter.Write(b)
+}
+
+// limitBody caps r's body at MaxBodyBytes. http.MaxBytesReader gets the
+// connection's own writer, through which an oversized body also asks the
+// server to close the connection after the 413.
+func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) io.ReadCloser {
+	if tw, ok := w.(*trackedWriter); ok {
+		w = tw.ResponseWriter
+	}
+	return http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 }
 
 // lookup fetches a snapshot pointer; the read lock is held only for the map
@@ -466,7 +517,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sn, err := s.publish(name, http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), opts, stream, budget)
+	sn, err := s.publish(name, s.limitBody(w, r), opts, stream, budget)
 	if err != nil {
 		s.publishError(w, err)
 		return
@@ -632,7 +683,7 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 // version; the per-name lock only serializes mutators.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, remove bool) {
 	name := r.PathValue("name")
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	body := s.limitBody(w, r)
 	d, err := dataset.ReadIDs(body)
 	if err != nil {
 		s.publishError(w, err)
@@ -732,7 +783,7 @@ func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SupportRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	body := s.limitBody(w, r)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		s.publishError(w, err)
 		return
@@ -793,7 +844,7 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := ReconstructRequest{Samples: 1, Seed: 1}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	body := s.limitBody(w, r)
 	raw, err := io.ReadAll(body)
 	if err != nil {
 		s.publishError(w, err)

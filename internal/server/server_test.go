@@ -346,3 +346,75 @@ func TestServerValidation(t *testing.T) {
 		t.Errorf("healthz = %v", health)
 	}
 }
+
+// TestHandlerPanic registers two panicking routes on the mux. One panics
+// before writing anything: it must answer 500 with the error document and
+// log the route, the panic value and the stack. The other panics after its
+// header went out: ServeHTTP must abort the response with
+// http.ErrAbortHandler, so a client sees a cut response, not a status.
+func TestHandlerPanic(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	s := New(Options{Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	s.mux.HandleFunc("GET /test/panic-early", func(w http.ResponseWriter, r *http.Request) {
+		panic("early failure")
+	})
+	s.mux.HandleFunc("GET /test/panic-late", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		_, _ = io.WriteString(w, "partial")
+		panic("late failure")
+	})
+
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/test/panic-early", nil))
+	var doc ErrorResponse
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("early panic: status %d, want 500", rec.Code)
+	} else if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || doc.Error == "" {
+		t.Errorf("early panic: body %q is not an error document (%v)", rec.Body, err)
+	}
+	mu.Lock()
+	if len(logged) != 1 {
+		t.Errorf("early panic logged %d lines, want 1", len(logged))
+	} else {
+		for _, want := range []string{"GET /test/panic-early", "early failure", "runtime/debug.Stack"} {
+			if !strings.Contains(logged[0], want) {
+				t.Errorf("early panic log lacks %q:\n%s", want, logged[0])
+			}
+		}
+	}
+	mu.Unlock()
+
+	func() {
+		defer func() {
+			if v := recover(); v != http.ErrAbortHandler {
+				t.Errorf("late panic re-raised %v, want http.ErrAbortHandler", v)
+			}
+		}()
+		s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/test/panic-late", nil))
+	}()
+
+	// Over a connection: the early panic is a status, the late one a cut
+	// response.
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/test/panic-early")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("early panic over HTTP: status %d, want 500", resp.StatusCode)
+	}
+	if resp, err := http.Get(ts.URL + "/test/panic-late"); err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			t.Errorf("late panic over HTTP: a complete response with status %d", resp.StatusCode)
+		}
+	}
+}

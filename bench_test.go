@@ -505,36 +505,58 @@ func benchPublication(b *testing.B) (*dataset.Dataset, *core.Anonymized) {
 // of BenchmarkSupportIndexed rarely do. warm times the indexed evaluation of
 // one itemset; cold times NewRecoveredEstimator plus its first multi-term
 // itemset, which pays the lazy per-node build a recovered snapshot defers.
+// The forests, both at k=5, m=2, seed 1:
+//
+//   - query20k: benchPublication's, 20k records over a 1k-term domain;
+//   - read50k: the first 50k Quest records of benchQuest50k as one shard,
+//     the forest the end-to-end benchmark's read-wide workload serves.
 func BenchmarkSupportWide(b *testing.B) {
-	d, a := benchPublication(b)
-	rng := rand.New(rand.NewPCG(19, 20))
-	itemsets := make([]dataset.Record, 0, 256)
-	for len(itemsets) < cap(itemsets) {
-		r := d.Records[rng.IntN(len(d.Records))]
-		if len(r) < 2 {
-			continue
-		}
-		n := min(2+rng.IntN(2), len(r))
-		terms := make([]dataset.Term, 0, n)
-		for _, i := range rng.Perm(len(r))[:n] {
-			terms = append(terms, r[i])
-		}
-		itemsets = append(itemsets, dataset.NewRecord(terms...))
+	for _, shape := range []struct {
+		name string
+		gen  func(*testing.B) (*dataset.Dataset, *core.Anonymized)
+	}{
+		{"query20k", benchPublication},
+		{"read50k", func(b *testing.B) (*dataset.Dataset, *core.Anonymized) {
+			d := dataset.FromRecords(benchQuest50k(b))
+			a, err := core.Anonymize(d, core.Options{K: 5, M: 2, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return d, a
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			d, a := shape.gen(b)
+			rng := rand.New(rand.NewPCG(19, 20))
+			itemsets := make([]dataset.Record, 0, 256)
+			for len(itemsets) < cap(itemsets) {
+				r := d.Records[rng.IntN(len(d.Records))]
+				if len(r) < 2 {
+					continue
+				}
+				n := min(2+rng.IntN(2), len(r))
+				terms := make([]dataset.Term, 0, n)
+				for _, i := range rng.Perm(len(r))[:n] {
+					terms = append(terms, r[i])
+				}
+				itemsets = append(itemsets, dataset.NewRecord(terms...))
+			}
+			est := query.NewEstimator(a)
+			b.Run("warm", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					est.Support(itemsets[i%len(itemsets)])
+				}
+			})
+			b.Run("cold", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rec := query.NewRecoveredEstimator(a, est.Index(), est.Singles())
+					rec.Support(itemsets[i%len(itemsets)])
+				}
+			})
+		})
 	}
-	est := query.NewEstimator(a)
-	b.Run("warm", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			est.Support(itemsets[i%len(itemsets)])
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rec := query.NewRecoveredEstimator(a, est.Index(), est.Singles())
-			rec.Support(itemsets[i%len(itemsets)])
-		}
-	})
 }
 
 // BenchmarkSupportScan is the baseline: every query walks every cluster.

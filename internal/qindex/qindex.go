@@ -148,21 +148,23 @@ func (ix *Index) Postings(rank int32) []int32 {
 
 // IntersectClusters appends to dst the ids of the top-level cluster nodes
 // containing every term of the normalized itemset — the only clusters that
-// can contribute to the itemset's support — and returns dst. It returns nil
-// dst unchanged when some term is outside the published domain. The merge
-// starts from the rarest term's posting list, so cost is bounded by the
-// shortest list, not the cluster count.
+// can contribute to the itemset's support — and returns dst. It returns dst
+// unchanged, having allocated nothing, when some term is outside the
+// published domain: every term is ranked before the posting lists are
+// gathered. The merge starts from the rarest term's posting list, so cost is
+// bounded by the shortest list, not the cluster count.
 func (ix *Index) IntersectClusters(dst []int32, s dataset.Record) []int32 {
 	if len(s) == 0 {
 		return dst
 	}
-	lists := make([][]int32, len(s))
-	for i, t := range s {
-		r, ok := ix.Rank(t)
-		if !ok {
+	for _, t := range s {
+		if _, ok := ix.Rank(t); !ok {
 			return dst
 		}
-		lists[i] = ix.Postings(r)
+	}
+	lists := make([][]int32, len(s))
+	for i, t := range s {
+		lists[i] = ix.Postings(ix.MustRank(t))
 	}
 	slices.SortFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
 outer:

@@ -124,8 +124,12 @@ func (e *Estimator) Support(s dataset.Record) Estimate {
 		}
 		return est
 	}
+	candidates := e.ix.IntersectClusters(nil, s)
+	if len(candidates) == 0 {
+		return est
+	}
 	q := e.loadNodes().newEval(e.ix, s)
-	for _, ci := range e.ix.IntersectClusters(nil, s) {
+	for _, ci := range candidates {
 		var o Estimate
 		if n := e.a.Clusters[ci]; n.IsLeaf() {
 			o = estimateNode(n, s) // no tree to walk; see indexed_eval.go

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -119,6 +120,42 @@ func TestSupportSandwichInvariant(t *testing.T) {
 			}
 		})
 	}
+}
+
+// An itemset with a term outside the published domain is answered zero
+// without allocating: every term is ranked before the posting lists are
+// gathered, and the evaluator is built only when some cluster is a
+// candidate. The widest itemsets hold 20,000 terms.
+func TestSupportOutsideDomainAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewPCG(51, 52))
+	a, err := core.Anonymize(randomDataset(rng, 300, 25, 4), core.Options{K: 3, M: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent := make([]dataset.Term, 0, 20_000)
+	for i := range cap(absent) {
+		absent = append(absent, dataset.Term(1<<20+i))
+	}
+	itemsets := []dataset.Record{
+		dataset.NewRecord(3, 1<<20),
+		dataset.NewRecord(absent...),
+		dataset.NewRecord(slices.Concat(absent[:19_990], clusterTerms(a.Clusters[0]))...),
+	}
+	est := NewEstimator(a)
+	estimators := []*Estimator{est, NewRecoveredEstimator(a, est.Index(), est.Singles())}
+	forceIndexed(t, func() {
+		for _, s := range itemsets {
+			want := Support(a, s)
+			for i, e := range estimators {
+				if got := e.Support(s); got != want {
+					t.Fatalf("estimator %d, %d-term itemset: %+v != scan %+v", i, len(s), got, want)
+				}
+				if allocs := testing.AllocsPerRun(5, func() { e.Support(s) }); allocs != 0 {
+					t.Errorf("estimator %d, %d-term itemset: %v allocations, want 0", i, len(s), allocs)
+				}
+			}
+		}
+	})
 }
 
 // The scan-hook must actually route through the scan path and still agree.

@@ -27,18 +27,27 @@ import (
 // it with the scan's own estimateNode and the index holds nothing for it:
 // sharded publications are mostly single leaves, whose term chunks would
 // make the build dearer than the evaluations it saves.
-// An evaluation walks the cluster's id range once, with a cursor per query
-// term into its entries and per-term ancestor accumulators (found, capacity,
-// probSum) that only joints with an entry for the term update. A leaf
-// without entries is evaluated from the accumulators alone, and a subtree is
-// skipped when some term is neither available from its ancestors nor held
-// anywhere inside it — every leaf there is impossible and no shared chunk
-// there holds the whole itemset. Integer counts equal the scan's: one-term
-// counts are the per-entry counts, and a chunk holding several query terms
-// is counted with the scan's own countContaining. Every float operation of
-// estimateNode is replayed in the same order — leaves left to right, probSum
-// root to leaf and in chunk order within a joint — so the results match the
-// scan bit for bit.
+// An evaluation crosses the cluster's id range once, with a cursor per
+// query term into its entries and per-term ancestor accumulators (found,
+// capacity, probSum) that only joints with an entry for the term update.
+// It steps from event to event rather than node to node: an event is the
+// next node with an entry for some query term, the end of the innermost
+// joint that saved an accumulator, or the cluster's end. Between two events
+// the accumulators stay put, the joints hold no query term and the leaves
+// hold none either, so those leaves are summed in one loop over the index's
+// leaf slab — every leaf's size in pre-order, found through a per-node count
+// of the leaves numbered before it — and the joints add nothing. While some
+// term is available from no ancestor, no such leaf can hold the itemset and
+// the whole stretch adds nothing. An event node holds entries: its hits are
+// gathered and it is evaluated on its own, and a subtree is skipped when
+// some term is neither available from its ancestors nor held anywhere inside
+// it — every leaf there is impossible and no shared chunk there holds the
+// whole itemset. Integer counts equal the scan's: one-term counts are the
+// per-entry counts, and a chunk holding several query terms is counted with
+// the scan's own countContaining. Every float operation of estimateNode is
+// replayed in the same order — leaves left to right, each term's factor in
+// term order within a leaf, probSum root to leaf and in chunk order within
+// a joint — so the results match the scan bit for bit.
 
 // termChunkPos is the chunk position a leaf's term chunk takes in a
 // termEntry. It sorts after every record chunk, the order evalLeaf applies
@@ -66,15 +75,20 @@ type nodeIndex struct {
 	roots  []int32             // top-level cluster -> id of its root; -1 for a single leaf
 	ent    []termEntry         // grouped by term rank; (node, chunk) ascending within a rank
 	entOff []int32             // rank -> offset into ent; len == NumTerms()+1
+
+	// The leaves of [lo, hi) are leafSizes[leavesBefore[lo]:leavesBefore[hi]].
+	leafSizes    []int32 // the leaves' sizes, in pre-order
+	leavesBefore []int32 // id -> leaves numbered before it; len == len(nodes)+1
 }
 
 // buildNodeIndex builds the node-level term index in two counting passes,
 // the device of qindex.Build. The first numbers the nodes and counts each
-// rank's entries; the second carves one flat slab by prefix sums and fills
-// it, counting subrecord occurrences per entry. A term outside the index's
-// domain gets no entry and a subrecord term outside its chunk's domain is
-// not counted: a recovered forest is never cross-checked against the
-// persisted index slabs, so the build takes whatever it finds.
+// rank's entries, and the leaf slab is read off its pre-order arrays; the
+// second carves one flat slab by prefix sums and fills it, counting
+// subrecord occurrences per entry. A term outside the index's domain gets
+// no entry and a subrecord term outside its chunk's domain is not counted:
+// a recovered forest is never cross-checked against the persisted index
+// slabs, so the build takes whatever it finds.
 func buildNodeIndex(a *core.Anonymized, ix *qindex.Index) *nodeIndex {
 	n := ix.NumTerms()
 	ni := &nodeIndex{roots: make([]int32, len(a.Clusters)), entOff: make([]int32, n+1)}
@@ -83,6 +97,19 @@ func buildNodeIndex(a *core.Anonymized, ix *qindex.Index) *nodeIndex {
 		if !c.IsLeaf() {
 			ni.roots[ci] = int32(len(ni.nodes))
 			ni.number(c, ix)
+		}
+	}
+	ni.leavesBefore = make([]int32, len(ni.flat)+1)
+	for id, fn := range ni.flat {
+		ni.leavesBefore[id+1] = ni.leavesBefore[id]
+		if fn.leaf {
+			ni.leavesBefore[id+1]++
+		}
+	}
+	ni.leafSizes = make([]int32, 0, ni.leavesBefore[len(ni.flat)])
+	for _, fn := range ni.flat {
+		if fn.leaf {
+			ni.leafSizes = append(ni.leafSizes, fn.size)
 		}
 	}
 	for r := range n {
@@ -217,12 +244,13 @@ type nodeEval struct {
 	nextHit int32        // the least node id some cursor points at
 	saves   []savedAcc   // stack, innermost joint last
 	hits    []hit        // the current node's entries, by chunk then term
+	probs   []float64    // per term, min(probSum, 1) for leaves
 	slice   dataset.Record
 }
 
 // newEval readies the evaluation of the normalized itemset s.
 func (ni *nodeIndex) newEval(ix *qindex.Index, s dataset.Record) *nodeEval {
-	q := &nodeEval{ni: ni, s: s, terms: make([]termCursor, len(s))}
+	q := &nodeEval{ni: ni, s: s, terms: make([]termCursor, len(s)), probs: make([]float64, len(s))}
 	for i, t := range s {
 		if r, ok := ix.Rank(t); ok {
 			q.terms[i].entries = ni.ent[ni.entOff[r]:ni.entOff[r+1]]
@@ -232,8 +260,8 @@ func (ni *nodeIndex) newEval(ix *qindex.Index, s dataset.Record) *nodeEval {
 }
 
 // cluster is estimateNode on the index: the estimate of top-level joint
-// ci. Calls must come in ascending cluster order, since cursors only move
-// forward.
+// ci, stepping from event to event. Calls must come in ascending cluster
+// order, since cursors only move forward.
 func (q *nodeEval) cluster(ci int32) Estimate {
 	lo := q.ni.roots[ci]
 	hi := q.ni.flat[lo].end
@@ -248,16 +276,25 @@ func (q *nodeEval) cluster(ci int32) Estimate {
 		for len(q.saves) > 0 && q.saves[len(q.saves)-1].end <= id {
 			q.restore()
 		}
+		event := min(q.nextHit, hi)
+		if len(q.saves) > 0 {
+			event = min(event, q.saves[len(q.saves)-1].end)
+		}
+		if id < event {
+			// A leaf without entries is impossible while some term is missing.
+			if q.missing == 0 {
+				q.leaves(id, event, &est)
+			}
+			id = event
+			continue
+		}
 		fn := q.ni.flat[id]
 		if q.missing > 0 && !q.reachable(fn.end) {
 			q.seekAll(fn.end)
 			id = fn.end
 			continue
 		}
-		q.hits = q.hits[:0]
-		if id == q.nextHit {
-			q.gather(id)
-		}
+		q.gather(id)
 		if fn.leaf {
 			q.leaf(id, int(fn.size), &est)
 		} else {
@@ -298,6 +335,7 @@ func (q *nodeEval) seekAll(id int32) {
 // gather collects the entries at node id into hits, ordered by chunk and,
 // within a chunk, by term, and moves every cursor past them.
 func (q *nodeEval) gather(id int32) {
+	q.hits = q.hits[:0]
 	q.nextHit = math.MaxInt32
 	for i := range q.terms {
 		tc := &q.terms[i]
@@ -436,4 +474,35 @@ func (q *nodeEval) leaf(id int32, z int, est *Estimate) {
 		est.Upper += upper
 	}
 	est.Expected += expected
+}
+
+// leaves is leaf for every leaf numbered in [lo, hi), none of which holds an
+// entry, while every term is available from the ancestors: each leaf of
+// size z > 0 adds z times each term's clamped probSum, in term order, to
+// Expected and the least capacity, at most z, to Upper — leaf's arithmetic
+// with no hits, operation by operation.
+func (q *nodeEval) leaves(lo, hi int32, est *Estimate) {
+	sizes := q.ni.leafSizes[q.ni.leavesBefore[lo]:q.ni.leavesBefore[hi]]
+	if len(sizes) == 0 {
+		return
+	}
+	least := math.MaxInt
+	for i := range q.terms {
+		tc := &q.terms[i]
+		least = min(least, tc.capacity)
+		q.probs[i] = min(tc.probSum, 1)
+	}
+	for _, z := range sizes {
+		if z == 0 {
+			continue
+		}
+		expected := float64(z)
+		for _, p := range q.probs {
+			expected *= p
+		}
+		est.Expected += expected
+		if upper := min(least, int(z)); upper > 0 {
+			est.Upper += upper
+		}
+	}
 }

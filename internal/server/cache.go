@@ -18,10 +18,18 @@ import (
 var supportCacheOn = supportCacheOnDefault
 
 // supportCacheEntries bounds each snapshot's cache: small enough to be noise
-// next to the snapshot itself (an entry is ~64 bytes, so ~0.5 MiB per
-// snapshot at worst), large enough to hold the whole hot head of a skewed
-// query mix. Tests lower it to keep eviction churning.
+// next to the snapshot itself (an entry, whose key cacheMaxTerms bounds,
+// takes about 100 bytes, so a full cache holds under 1 MiB per snapshot),
+// large enough to hold the whole hot head of a skewed query mix. Tests
+// lower it to keep eviction churning.
 var supportCacheEntries = 8192
+
+// cacheMaxTerms is the widest itemset the cache admits. An entry's key is
+// the itemset itself, so the width bounds the key at 32 bytes and with it
+// the entry; a wider itemset is answered by the estimator every time.
+// Skewed query mixes repeat short itemsets (bench/'s read mixes ask 1–3
+// terms).
+const cacheMaxTerms = 8
 
 // supportCache memoizes SupportResult-identical estimates for one snapshot.
 // Scoping the cache to the snapshot is what makes invalidation free: a
@@ -148,10 +156,10 @@ func (c *supportCache) len() int {
 }
 
 // support answers one itemset through the snapshot's cache (unless
-// supportCacheOn is off), falling back to the immutable estimator. The
-// itemset must be normalized.
+// supportCacheOn is off or the itemset is wider than cacheMaxTerms),
+// falling back to the immutable estimator. The itemset must be normalized.
 func (sn *snapshot) support(itemset dataset.Record) query.Estimate {
-	if !supportCacheOn {
+	if !supportCacheOn || len(itemset) > cacheMaxTerms {
 		return sn.est.Support(itemset)
 	}
 	key := cacheKey(itemset)

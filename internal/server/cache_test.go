@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -110,6 +111,40 @@ func TestSupportCacheDisabled(t *testing.T) {
 	if n := sn.cache.len(); n != 0 {
 		t.Errorf("hook off, but the cache filled %d entries", n)
 	}
+}
+
+// TestSupportCacheMemoryBound: a cache key is the whole itemset, so
+// without an admission rule 1,000 distinct 2,000-term itemsets kept about
+// 8 MB of keys alive in one snapshot's cache. Whatever the itemsets, the
+// cache must stay within supportCacheEntries' stated bound, under 1 MiB per
+// snapshot, measured as the live heap it leaves behind, and every answer
+// must equal the uncached estimator's.
+func TestSupportCacheMemoryBound(t *testing.T) {
+	a, _ := cacheBenchPublication(t, 200, 40)
+	old, oldEntries := supportCacheOn, supportCacheEntries
+	supportCacheOn, supportCacheEntries = true, 8192
+	defer func() { supportCacheOn, supportCacheEntries = old, oldEntries }()
+	sn := newSnapshot("t", a, nil, nil, core.Options{})
+	uncached := query.NewEstimator(a)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range 1000 {
+		s := make(dataset.Record, 2000)
+		for j := range s {
+			s[j] = dataset.Term(i + j)
+		}
+		if got, want := sn.support(s), uncached.Support(s); got != want {
+			t.Fatalf("itemset %d: cached %+v != uncached %+v", i, got, want)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 1<<20 {
+		t.Errorf("1,000 long itemsets left %d bytes live, over the stated 1 MiB (%d entries resident)", grown, sn.cache.len())
+	}
+	runtime.KeepAlive(sn)
 }
 
 // TestSupportCacheConcurrent hammers one snapshot's cache from many
